@@ -3,11 +3,19 @@
 //! The generator is deliberately *naive* — a faithful stand-in for a
 //! circa-2002 non-optimizing embedded C compiler: every expression value
 //! flows through `HL`, operands are staged via `push`/`pop`, and every
-//! variable access goes to memory. The optimization switches in
+//! variable access goes to memory. Four of the optimization switches in
 //! [`Options`] mirror exactly what the paper's authors tried on their C
 //! port of AES (§6): disabling debug instrumentation, moving data to root
 //! memory, unrolling loops, and enabling (peephole) compiler
 //! optimization.
+//!
+//! The fifth, `const_shifts`, is not a paper axis: it lowers a shift by
+//! an integer literal in line instead of calling the per-bit
+//! `__shl16`/`__shr16` runtime. The paper's AES source shifts by
+//! literals (`x << 1`), so the switch is off in both [`Options::baseline`]
+//! and [`Options::all_optimizations`]; turning it on there would move the
+//! E1–E3 ladder away from the configurations the paper measured. Board
+//! firmware gets it through [`Options::firmware`].
 
 use std::collections::HashMap;
 
@@ -27,6 +35,10 @@ pub struct Options {
     pub unroll: bool,
     /// Run the peephole optimizer over the generated code.
     pub peephole: bool,
+    /// Compile `<<`/`>>` by an integer literal in line (byte moves and
+    /// single-bit steps) instead of calling the shift runtime. Not one
+    /// of the paper's axes; see the module docs.
+    pub const_shifts: bool,
 }
 
 impl Options {
@@ -38,6 +50,7 @@ impl Options {
             root_data: false,
             unroll: false,
             peephole: false,
+            const_shifts: false,
         }
     }
 
@@ -48,6 +61,16 @@ impl Options {
             root_data: true,
             unroll: true,
             peephole: true,
+            const_shifts: false,
+        }
+    }
+
+    /// The default for the serving firmware: everything the paper tried,
+    /// plus in-line constant-count shifts.
+    pub fn firmware() -> Options {
+        Options {
+            const_shifts: true,
+            ..Options::all_optimizations()
         }
     }
 }
@@ -430,7 +453,7 @@ impl Codegen<'_> {
             }
         }
         if self.used_runtime.shr {
-            // HL >> E
+            // HL >> E (0..255; >=16 gives 0)
             self.label("__shr16");
             self.emit("ld a, e");
             self.emit("or a");
@@ -1143,6 +1166,14 @@ impl Codegen<'_> {
             other => (other, l, r),
         };
 
+        if let (BinOp::Shl | BinOp::Shr, Expr::Num(count)) = (op, r) {
+            if self.opts.const_shifts {
+                self.expr(f, l)?;
+                self.const_shift(op == BinOp::Shl, *count);
+                return Ok(());
+            }
+        }
+
         // left -> stack, right -> DE, left -> HL
         self.expr(f, l)?;
         self.emit("push hl");
@@ -1225,6 +1256,36 @@ impl Codegen<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Shifts HL left (`left`) or right by a literal `count` in line: a
+    /// byte move covers 8 of the bits, then one `add hl, hl` or
+    /// `or a; rr hl` per remaining bit. Counts of 16 and more give 0, as
+    /// in `__shl16`/`__shr16` and the interpreter.
+    fn const_shift(&mut self, left: bool, count: u16) {
+        if count >= 16 {
+            self.emit("ld hl, 0");
+            return;
+        }
+        let mut bits = count;
+        if bits >= 8 {
+            if left {
+                self.emit("ld h, l");
+                self.emit("ld l, 0");
+            } else {
+                self.emit("ld l, h");
+                self.emit("ld h, 0");
+            }
+            bits -= 8;
+        }
+        for _ in 0..bits {
+            if left {
+                self.emit("add hl, hl");
+            } else {
+                self.emit("or a"); // clear carry so rr hl shifts in 0
+                self.emit("rr hl");
+            }
+        }
     }
 }
 
@@ -1379,6 +1440,59 @@ mod tests {
         let asm = compile("int main() { return 1; }", Options::baseline()).unwrap();
         assert!(!asm.contains("__nic_recv"));
         assert!(!asm.contains("__nic_send"));
+    }
+
+    #[test]
+    fn constant_shifts_lower_in_line_without_the_runtime() {
+        let src = "int w; int main() { w = 0x1234; w = (w << 5) | (w >> 11);\n\
+                   w <<= 8; w >>= 15; w = w << 0; return (w >> 16) + (w << 20); }";
+        let off = compile(src, Options::all_optimizations()).unwrap();
+        assert!(
+            off.contains("call __shl16") && off.contains("call __shr16"),
+            "{off}"
+        );
+        let on = compile(src, Options::firmware()).unwrap();
+        assert!(!on.contains("__shl16") && !on.contains("__shr16"), "{on}");
+        assert!(on.contains("rr hl") && on.contains("ld h, l"), "{on}");
+    }
+
+    #[test]
+    fn variable_shift_count_still_calls_the_runtime() {
+        // The bit-probe pattern of the E8 bignum kernel: the count is a
+        // run-time value, so the helper stays.
+        let src = "int bb[4]; int main() { int k; int w; int bit; k = 37;\n\
+                   w = bb[k >> 4]; bit = (w >> (k & 15)) & 1; return bit; }";
+        let asm = compile(src, Options::firmware()).unwrap();
+        assert!(
+            asm.contains("call __shr16") && asm.contains("__shr16:"),
+            "{asm}"
+        );
+        assert!(!asm.contains("__shl16"), "{asm}");
+    }
+
+    #[test]
+    fn constant_shift_lowering_by_count() {
+        let body = |src: &str| {
+            let asm = compile(src, Options::firmware()).unwrap();
+            let main = asm.split("_main:").nth(1).unwrap().to_string();
+            main.split("ld (_r), hl").next().unwrap().to_string()
+        };
+        let lines = |s: &str| s.lines().map(str::trim).filter(|l| !l.is_empty()).count();
+        let load = lines(&body("int r; int v; int main() { r = v; return 0; }"));
+        for (expr, want) in [
+            ("v << 0", 0),
+            ("v >> 0", 0),
+            ("v << 3", 3),
+            ("v >> 3", 6),
+            ("v << 8", 2),
+            ("v >> 9", 4),
+            ("v << 15", 9),
+            ("v >> 16", 1),
+            ("v << 200", 1),
+        ] {
+            let src = format!("int r; int v; int main() {{ r = {expr}; return 0; }}");
+            assert_eq!(lines(&body(&src)) - load, want, "{expr}:\n{}", body(&src));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use dcc::{build, parse, Interp, Options};
 use proptest::prelude::*;
 
-fn all_option_sets() -> [Options; 6] {
+fn all_option_sets() -> [Options; 8] {
     [
         Options::baseline(),
         Options {
@@ -24,7 +24,12 @@ fn all_option_sets() -> [Options; 6] {
             peephole: true,
             ..Options::baseline()
         },
+        Options {
+            const_shifts: true,
+            ..Options::baseline()
+        },
         Options::all_optimizations(),
+        Options::firmware(),
     ]
 }
 
@@ -107,6 +112,78 @@ fn xmem_and_root_agree() {
     check_all(src);
 }
 
+// ---- constant-count shifts ---------------------------------------------
+
+/// One program per shift count: every `int` operand of `a` and `char`
+/// operand of `ca` shifted both ways, as a plain expression and as a
+/// compound assignment, plus shifted calls whose side effect must
+/// survive the shift.
+fn const_shift_program(count: u16) -> String {
+    let mut body = String::new();
+    let mut slot = 0;
+    for (arr, n, scalar) in [("a", 6, "x"), ("ca", 4, "ch")] {
+        for j in 0..n {
+            for (op, assign) in [("<<", "<<="), (">>", ">>=")] {
+                body.push_str(&format!(
+                    "    r[{slot}] = {arr}[{j}] {op} {count};\n\
+                     \x20   {scalar} = {arr}[{j}]; {scalar} {assign} {count}; r[{}] = {scalar};\n",
+                    slot + 1
+                ));
+                slot += 2;
+            }
+        }
+    }
+    format!(
+        "int a[6] = {{0, 1, 0x00FF, 0x7FFF, 0x8000, 0xFFFF}};\n\
+         char ca[4] = {{0, 1, 0x80, 0xFF}};\n\
+         int r[{slots}];\n\
+         int calls;\n\
+         int bump() {{ calls += 1; return 0xFFFF; }}\n\
+         int main() {{\n\
+         \x20   int x; char ch;\n\
+         {body}\
+         \x20   r[{slot}] = bump() << {count};\n\
+         \x20   r[{}] = bump() >> {count};\n\
+         \x20   return calls;\n\
+         }}\n",
+        slot + 1,
+        slots = slot + 2,
+    )
+}
+
+/// Every constant shift count 0..=17 (and two past the 16-bit width),
+/// on both engines under every option set, against the interpreter:
+/// each result slot and the call counter must agree.
+#[test]
+fn constant_shift_corpus_matches_interpreter() {
+    for count in (0..=17).chain([20, 255]) {
+        let src = const_shift_program(count);
+        let prog = parse(&src).expect("parses");
+        let mut interp = Interp::new(&prog);
+        let calls = interp.run_main().expect("interprets");
+        assert_eq!(calls, 2, "both shifted calls ran (count {count})");
+        let slots = usize::from(prog.global("r").unwrap().array.unwrap());
+        let expected: Vec<u16> = (0..slots).map(|k| interp.global("r", k).unwrap()).collect();
+        for opts in all_option_sets() {
+            let b = build(&src, opts).unwrap_or_else(|e| panic!("build {opts:?}: {e}\n{src}"));
+            for engine in [rabbit::Engine::Interpreter, rabbit::Engine::BlockCache] {
+                let (mut cpu, mut mem) = b.machine();
+                let run = b
+                    .run_prepared_on(engine, &mut cpu, &mut mem, 10_000_000)
+                    .unwrap_or_else(|e| panic!("run {opts:?} {engine:?}: {e}"));
+                assert_eq!(
+                    run.result, calls,
+                    "calls, count {count}, {opts:?} {engine:?}"
+                );
+                let got: Vec<u16> = (0..slots)
+                    .map(|k| b.read_global(&mem, "_r", k, false).unwrap())
+                    .collect();
+                assert_eq!(got, expected, "count {count}, {opts:?} {engine:?}\n{src}");
+            }
+        }
+    }
+}
+
 // ---- property-based corpus -------------------------------------------
 
 /// A tiny expression generator over a fixed set of variables.
@@ -149,8 +226,8 @@ proptest! {
         );
         let prog = parse(&src).expect("parses");
         let expected = Interp::new(&prog).run_main().expect("interprets");
-        // Compare baseline and fully-optimized (the extremes).
-        for opts in [Options::baseline(), Options::all_optimizations()] {
+        // Compare baseline and the most optimized sets (the extremes).
+        for opts in [Options::baseline(), Options::all_optimizations(), Options::firmware()] {
             let b = build(&src, opts).expect("builds");
             let run = b.run(500_000_000).expect("runs");
             prop_assert_eq!(run.result, expected, "{} with {:?}", e, opts);

@@ -394,6 +394,62 @@ impl Fleet {
 // Balanced fleet serving driver
 // ---------------------------------------------------------------------------
 
+/// Highest host octet a simulated `10.0.<net>.0/24` hands out; `.255`
+/// is the subnet's broadcast address.
+pub const MAX_HOST_OCTET: u8 = 254;
+
+/// A driver was asked to address more hosts than fit in their /24.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddressLimit {
+    /// What the hosts are (`"board"`, `"client"`).
+    pub role: &'static str,
+    /// How many were asked for.
+    pub wanted: usize,
+    /// How many fit: `MAX_HOST_OCTET - first + 1`.
+    pub limit: usize,
+    /// The subnet's third octet.
+    pub net: u8,
+}
+
+impl std::fmt::Display for AddressLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {}s exceed the limit of {} {}s in 10.0.{}.0/24",
+            self.wanted, self.role, self.limit, self.role, self.net
+        )
+    }
+}
+
+impl std::error::Error for AddressLimit {}
+
+/// Addresses `count` `role` hosts as `10.0.<net>.<first + i>`, the one
+/// place the drivers turn a host index into an IP octet.
+///
+/// # Errors
+///
+/// [`AddressLimit`] when the last octet would pass [`MAX_HOST_OCTET`].
+pub fn subnet_hosts(
+    net: u8,
+    first: u8,
+    count: usize,
+    role: &'static str,
+) -> Result<Vec<Ipv4>, AddressLimit> {
+    let limit = (usize::from(MAX_HOST_OCTET) + 1).saturating_sub(usize::from(first));
+    if count > limit {
+        return Err(AddressLimit {
+            role,
+            wanted: count,
+            limit,
+            net,
+        });
+    }
+    Ok((first..=MAX_HOST_OCTET)
+        .take(count)
+        .map(|octet| Ipv4::new(10, 0, net, octet))
+        .collect())
+}
+
 /// Which guest firmware every board of a [`fleet_serve`] run boots.
 #[derive(Debug, Clone)]
 pub enum FleetFirmware {
@@ -449,13 +505,14 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// A spec with the common defaults: round-robin, secure firmware,
-    /// no probes, no dead links, index visit order.
+    /// A spec with the common defaults: the firmware compiler options
+    /// ([`dcc::Options::firmware`]), round-robin, secure firmware, no
+    /// probes, no dead links, index visit order.
     #[must_use]
     pub fn new(engine: Engine, boards: usize, psk: &[u8], clients: Vec<GuestClient>) -> FleetSpec {
         FleetSpec {
             engine,
-            opts: dcc::Options::all_optimizations(),
+            opts: dcc::Options::firmware(),
             boards,
             policy: LbPolicy::RoundRobin,
             firmware: FleetFirmware::SecureEcho { psk: psk.to_vec() },
@@ -627,9 +684,13 @@ impl FaultDriver {
 ///
 /// # Panics
 ///
-/// If a board's firmware faults or the session does not converge.
+/// If the boards or clients do not fit their /24 ([`subnet_hosts`]), a
+/// board's firmware faults, or the session does not converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     assert!(spec.boards >= 1, "a fleet has at least one board");
+    let board_ips = subnet_hosts(1, 1, spec.boards, "board").unwrap_or_else(|e| panic!("{e}"));
+    let client_ips =
+        subnet_hosts(2, 1, spec.clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
     let (build, port) = match &spec.firmware {
         FleetFirmware::PlainEcho => (build_serve_firmware(spec.opts), SERVE_PORT),
         FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
@@ -637,8 +698,7 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
 
     let world = Rc::new(RefCell::new(World::new(42)));
     let mut fleet = Fleet::new(&world);
-    for i in 0..spec.boards {
-        let ip = Ipv4::new(10, 0, 1, 1 + u8::try_from(i).expect("few boards"));
+    for (i, &ip) in board_ips.iter().enumerate() {
         let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
         let board = fleet.board_mut(b);
         board.load(&build.image);
@@ -682,9 +742,9 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         lb.add_backend(Endpoint::new(fleet.ip(i), port));
     }
 
-    let mut hosts: Vec<SimHost> = (0..spec.clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 2, 1 + u8::try_from(i).expect("few clients"));
+    let mut hosts: Vec<SimHost> = client_ips
+        .into_iter()
+        .map(|ip| {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
@@ -959,6 +1019,36 @@ mod tests {
         }
         assert!(r.snapshot.contains("board0.net.board.conn.accepts"));
         assert!(r.snapshot.contains("board1.net.board.conn.accepts"));
+    }
+
+    #[test]
+    fn subnet_hosts_fill_the_slash_24_and_refuse_the_next_host() {
+        let boards = subnet_hosts(1, 1, 254, "board").expect("254 boards fit");
+        assert_eq!(boards[0], Ipv4::new(10, 0, 1, 1));
+        assert_eq!(boards[253], Ipv4::new(10, 0, 1, 254));
+        let err = subnet_hosts(2, 1, 255, "client").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "255 clients exceed the limit of 254 clients in 10.0.2.0/24"
+        );
+        // The solo drivers' clients start at .2, after the board.
+        let solo = subnet_hosts(0, 2, 253, "client").expect("253 clients fit");
+        assert_eq!(solo[252], Ipv4::new(10, 0, 0, 254));
+        assert_eq!(subnet_hosts(0, 2, 254, "client").unwrap_err().limit, 253);
+    }
+
+    #[test]
+    #[should_panic(expected = "255 boards exceed the limit of 254 boards in 10.0.1.0/24")]
+    fn fleet_serve_refuses_a_board_past_the_subnet() {
+        let spec = FleetSpec::new(Engine::Interpreter, 255, b"", echo_clients(1));
+        fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "255 clients exceed the limit of 254 clients in 10.0.2.0/24")]
+    fn fleet_serve_refuses_a_client_past_the_subnet() {
+        let spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(255));
+        fleet_serve(&spec);
     }
 
     #[test]

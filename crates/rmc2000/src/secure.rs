@@ -36,6 +36,7 @@ use rabbit::nicmap::{
 use rabbit::Engine;
 use telemetry::{ProfileReport, SymbolTable};
 
+use crate::fleet::subnet_hosts;
 use crate::nic::NIC_VECTOR;
 use crate::serial::SERIAL_A_VECTOR;
 use crate::serve::SERIAL_PROBE;
@@ -1143,6 +1144,7 @@ pub fn secure_serve(
     profile: bool,
 ) -> SecureRun {
     assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
+    let client_ips = subnet_hosts(0, 2, clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
     let build = build_secure_firmware(opts);
 
     let world = Rc::new(RefCell::new(World::new(42)));
@@ -1150,9 +1152,9 @@ pub fn secure_serve(
     let b = fleet.add_solo_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
     let board_ip = fleet.ip(b);
     let board_id = fleet.host(b).id();
-    let mut hosts: Vec<SimHost> = (0..clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 0, 2 + u8::try_from(i).expect("few clients"));
+    let mut hosts: Vec<SimHost> = client_ips
+        .into_iter()
+        .map(|ip| {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
@@ -1437,6 +1439,38 @@ mod tests {
                 "NIC vector holds a jp"
             );
         }
+    }
+
+    #[test]
+    fn const_shifts_shrink_the_image_and_keep_the_gap_below_the_aes_module() {
+        let c_end = |b: &dcc::Build| {
+            let s = b
+                .image
+                .sections
+                .iter()
+                .find(|s| s.addr == dcc::layout::CODE_ORG)
+                .expect("compiled C section");
+            usize::from(s.addr) + s.bytes.len()
+        };
+        let gap = |b: &dcc::Build| usize::from(aes_rabbit::LINKED_CODE_ORG) - c_end(b);
+        let off = build_secure_firmware(dcc::Options::all_optimizations());
+        let on = build_secure_firmware(dcc::Options::firmware());
+        assert!(!on.asm.contains("__shl16") && !on.asm.contains("__shr16"));
+        assert!(
+            on.code_size() <= off.code_size(),
+            "code {} > {}",
+            on.code_size(),
+            off.code_size()
+        );
+        assert!(gap(&on) >= gap(&off), "gap {} < {}", gap(&on), gap(&off));
+    }
+
+    #[test]
+    #[should_panic(expected = "254 clients exceed the limit of 253 clients in 10.0.0.0/24")]
+    fn refuses_a_client_past_the_subnet() {
+        let clients = vec![GuestClient::secure(&[], b""); 254];
+        let opts = dcc::Options::firmware();
+        secure_serve(Engine::Interpreter, opts, b"", &clients, None, false);
     }
 
     #[test]

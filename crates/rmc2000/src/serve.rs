@@ -22,6 +22,7 @@ use rabbit::nicmap::{
 };
 use rabbit::Engine;
 
+use crate::fleet::subnet_hosts;
 use crate::nic::NIC_VECTOR;
 use crate::serial::SERIAL_A_VECTOR;
 use crate::RunOutcome;
@@ -171,6 +172,7 @@ pub fn serve_clients(
     clients: &[Vec<Vec<u8>>],
     probe_gap_us: Option<u64>,
 ) -> ServeRun {
+    let client_ips = subnet_hosts(0, 2, clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
     let build = build_serve_firmware(opts);
 
     let world = Rc::new(RefCell::new(World::new(42)));
@@ -178,9 +180,9 @@ pub fn serve_clients(
     let b = fleet.add_solo_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
     let board_ip = fleet.ip(b);
     let board_id = fleet.host(b).id();
-    let mut hosts: Vec<SimHost> = (0..clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 0, 2 + u8::try_from(i).expect("few clients"));
+    let mut hosts: Vec<SimHost> = client_ips
+        .into_iter()
+        .map(|ip| {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
@@ -307,6 +309,17 @@ pub fn serve_clients(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "254 clients exceed the limit of 253 clients in 10.0.0.0/24")]
+    fn refuses_a_client_past_the_subnet() {
+        serve_clients(
+            Engine::Interpreter,
+            dcc::Options::firmware(),
+            &vec![Vec::new(); 254],
+            None,
+        );
+    }
 
     #[test]
     fn c_server_compiles_under_both_option_sets() {

@@ -57,7 +57,7 @@ fn main() {
         let t0 = Instant::now();
         let run = secure_serve(
             engine,
-            dcc::Options::all_optimizations(),
+            dcc::Options::firmware(),
             PSK,
             &clients,
             Some(500),

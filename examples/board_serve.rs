@@ -52,7 +52,7 @@ fn main() {
         ("block_cache", Engine::BlockCache),
     ] {
         let t0 = Instant::now();
-        let run = serve_clients(engine, dcc::Options::all_optimizations(), &clients, Some(500));
+        let run = serve_clients(engine, dcc::Options::firmware(), &clients, Some(500));
         let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         for (i, (sent, got)) in clients.iter().zip(&run.transcripts).enumerate() {
             assert_eq!(&sent.concat(), got, "client {i} transcript");
