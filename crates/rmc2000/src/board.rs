@@ -70,24 +70,9 @@ pub struct BoardCounters {
 }
 
 impl BoardCounters {
-    /// Registers the counters in `registry` under the single-board names
-    /// (`board.*`), aliased as `board0.board.*` — historical snapshots
-    /// keep their keys, fleet tooling addresses the same cells
-    /// uniformly. Idempotent: fetches the existing cells on a second
-    /// call.
-    pub fn register(registry: &telemetry::Registry) -> BoardCounters {
-        let c = BoardCounters {
-            idle_cycles: registry.counter("board.idle_cycles", &[]),
-            skip_batches: registry.counter("board.skip_batches", &[]),
-        };
-        let _ = registry.alias_counter("board0.board.idle_cycles", &[], &c.idle_cycles);
-        let _ = registry.alias_counter("board0.board.skip_batches", &[], &c.skip_batches);
-        c
-    }
-
-    /// Registers the counters under board-namespaced names only
-    /// (`board<idx>.board.*`) — the fleet form, where several boards
-    /// share one registry.
+    /// Registers the counters in `registry` as board `idx`'s
+    /// (`board<idx>.board.*`), so boards sharing one registry never
+    /// collide. Idempotent: fetches the existing cells on a second call.
     pub fn register_board(registry: &telemetry::Registry, idx: usize) -> BoardCounters {
         BoardCounters {
             idle_cycles: registry.counter(&format!("board{idx}.board.idle_cycles"), &[]),
@@ -169,17 +154,11 @@ impl Board {
         }
     }
 
-    /// Rebinds the board's `board.*` counters into `registry`, so one
-    /// snapshot covers the guest-side scheduler next to the `net.*`
-    /// counters. Values accumulated so far in the detached cells are not
-    /// carried over; bind before running.
-    pub fn bind_telemetry(&mut self, registry: &telemetry::Registry) {
-        self.counters = BoardCounters::register(registry);
-    }
-
-    /// As [`Board::bind_telemetry`], but under fleet-namespaced names
-    /// (`board<idx>.board.*`) so boards sharing one registry never
-    /// collide.
+    /// Rebinds the board's `board.*` counters into `registry` as board
+    /// `idx`'s (`board<idx>.board.*`), so one snapshot covers the
+    /// guest-side scheduler next to the NIC counters. Values accumulated
+    /// so far in the detached cells are not carried over; bind before
+    /// running.
     pub fn bind_telemetry_board(&mut self, registry: &telemetry::Registry, idx: usize) {
         self.counters = BoardCounters::register_board(registry, idx);
     }

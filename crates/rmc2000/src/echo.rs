@@ -44,12 +44,12 @@ pub struct EchoRun {
     pub cycles: u64,
     /// Final virtual time of the shared world, in microseconds.
     pub virtual_us: u64,
-    /// Frames the guest received / transmitted (`net.board.*` counters).
+    /// Frames the guest received (`board0.net.board.*` counters).
     pub rx_frames: u64,
     /// Frames the guest transmitted.
     pub tx_frames: u64,
     /// Deterministic text snapshot of the world's telemetry registry
-    /// (includes the `net.board.*` NIC counters).
+    /// (includes the `board0.net.board.*` NIC counters).
     pub snapshot: String,
 }
 
@@ -93,9 +93,10 @@ pub fn run_echo_paced(engine: Engine, msgs: &[&[u8]], idle: IdleMode, gap_us: u6
     let board_ip = board_host.ip();
 
     let mut board = Board::with_engine(engine);
-    // `board.*` scheduler counters land in the world registry, next to
-    // the `net.*` counters, so one snapshot covers the whole session.
-    board.bind_telemetry(world.borrow().telemetry());
+    // `board0.board.*` scheduler counters land in the world registry,
+    // next to the `net.*` counters, so one snapshot covers the whole
+    // session.
+    board.bind_telemetry_board(world.borrow().telemetry(), 0);
     board.attach_nic(Nic::simulated(board_host));
     let image = assemble(&firmware::echo_firmware(ECHO_PORT)).expect("echo firmware assembles");
     board.load(&image);
@@ -178,8 +179,8 @@ pub fn run_echo_paced(engine: Engine, msgs: &[&[u8]], idle: IdleMode, gap_us: u6
         let w = world.borrow();
         let snap = w.telemetry().snapshot();
         (
-            snap.counter("net.board.rx_frames", &[]),
-            snap.counter("net.board.tx_frames", &[]),
+            snap.counter("board0.net.board.rx_frames", &[]),
+            snap.counter("board0.net.board.tx_frames", &[]),
             snap.to_text(),
         )
     };

@@ -1,9 +1,9 @@
 //! Fleet scheduler: N boards, one deterministic world, one clock owner.
 //!
-//! The one-board drivers let the board's NIC backend drag the shared
-//! [`World`] clock forward ([`crate::nic::ClockMode::Follow`]): whenever
-//! the board's local cycle count crossed a poll boundary, the backend
-//! called `run_for` on the world. That contract cannot scale past one
+//! A bare board's NIC backend can drag the shared [`World`] clock
+//! forward ([`crate::nic::ClockMode::Follow`]): whenever the board's
+//! local cycle count crosses a poll boundary, the backend calls
+//! `run_for` on the world. That contract cannot scale past one
 //! board — with two boards each dragging the clock, whoever polls first
 //! advances time under the other's feet, and every observable becomes a
 //! function of host-side iteration order. This module lifts time
@@ -41,13 +41,16 @@
 //! The skip decision is a function of barrier state only, so it too is
 //! visit-order- and engine-invariant.
 //!
-//! # Solo mode
+//! # Topologies
 //!
-//! The legacy one-board drivers ([`crate::serve::serve_clients`],
-//! [`crate::secure::secure_serve`]) run on the same scheduler in solo
-//! mode: one Follow-mode board, pumped with the exact legacy
-//! run/probe/idle sequence. A one-board fleet is byte-identical to the
-//! pre-fleet drivers by construction.
+//! [`fleet_serve`] is the one serving driver. With a balancer policy
+//! (`FleetSpec::policy = Some(..)`) every client dials a simulated TCP
+//! load balancer in front of the boards; with `None` the fleet is one
+//! board and every client is linked straight to it, so clients beyond
+//! its connection handles wait in the board's listen backlog — the
+//! paper's single-board service (§5.3). Both run on this scheduler.
+//! Only the bare-board harnesses ([`crate::echo`]) still let the NIC
+//! drag the clock.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,6 +59,7 @@ use rabbit::nicmap::MAX_CONNS;
 use rabbit::{Engine, IoSpace};
 
 use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, SimHost, SocketId, World};
+use telemetry::{ProfileReport, SymbolTable};
 
 pub use netsim::{BackendStats, LbPolicy};
 
@@ -105,7 +109,6 @@ struct Slot {
 pub struct Fleet {
     world: Rc<RefCell<World>>,
     slots: Vec<Slot>,
-    solo: bool,
     epochs: u64,
 }
 
@@ -115,7 +118,6 @@ impl Fleet {
         Fleet {
             world: Rc::clone(world),
             slots: Vec::new(),
-            solo: false,
             epochs: 0,
         }
     }
@@ -140,38 +142,10 @@ impl Fleet {
         self.epochs
     }
 
-    /// Adds the single board of a legacy solo fleet: its NIC follows the
-    /// legacy clock contract (the backend drags the world) and its
-    /// telemetry registers under the unprefixed single-board names.
-    ///
-    /// # Panics
-    ///
-    /// If the fleet already has a board — solo means exactly one.
-    pub fn add_solo_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
-        assert!(self.slots.is_empty(), "solo fleet holds exactly one board");
-        self.solo = true;
-        let host = SimHost::attach(&self.world, name, ip);
-        let mut board = Board::with_engine(engine);
-        board.bind_telemetry(self.world.borrow().telemetry());
-        board.attach_nic(Nic::simulated(host.clone()));
-        self.slots.push(Slot {
-            board,
-            host,
-            target: 0,
-            state: BoardState::Running,
-        });
-        0
-    }
-
     /// Adds board `len()` to an epoch-scheduled fleet: a passive NIC
     /// backend (only this scheduler advances the clock) and telemetry
     /// namespaced under `board<idx>.`.
-    ///
-    /// # Panics
-    ///
-    /// If the fleet was opened in solo mode.
     pub fn add_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
-        assert!(!self.solo, "solo fleet holds exactly one board");
         let idx = self.slots.len();
         let host = SimHost::attach(&self.world, name, ip);
         let mut board = Board::with_engine(engine);
@@ -226,24 +200,14 @@ impl Fleet {
     /// The caller must also black out the board's link (the host-side
     /// TCP stack would otherwise answer SYNs for the frozen board); the
     /// fleet fault driver does both.
-    ///
-    /// # Panics
-    ///
-    /// If called on a solo fleet.
     pub fn wedge(&mut self, i: usize) {
-        assert!(!self.solo, "faults drive multi-board fleets");
         self.slots[i].state = BoardState::Wedged;
     }
 
     /// Resurrects a wedged board. Lost time is lost: the cycle target
     /// snaps to the board's frozen cycle count, so the board resumes
     /// from where it stopped instead of replaying the missed epochs.
-    ///
-    /// # Panics
-    ///
-    /// If called on a solo fleet.
     pub fn resurrect(&mut self, i: usize) {
-        assert!(!self.solo, "faults drive multi-board fleets");
         let s = &mut self.slots[i];
         s.state = BoardState::Running;
         s.target = s.board.cpu.cycles;
@@ -254,48 +218,18 @@ impl Fleet {
         (0..self.slots.len()).all(|i| self.parked(i))
     }
 
-    /// One legacy solo pump: run up to `run_chunk` cycles; on halt,
-    /// offer the host a hook (console probes) and burn `idle_chunk`
-    /// halted cycles. Byte-identical to the pre-fleet driver loops.
-    ///
-    /// # Panics
-    ///
-    /// If the firmware stops for any reason other than halting.
-    pub fn solo_pump(&mut self, run_chunk: u64, idle_chunk: u64, on_halt: impl FnOnce(&mut Board)) {
-        assert!(self.solo, "solo_pump drives a solo fleet");
-        let board = &mut self.slots[0].board;
-        match board.run(run_chunk) {
-            RunOutcome::Halted => {
-                on_halt(board);
-                board.idle(idle_chunk);
-            }
-            RunOutcome::BudgetExhausted => {}
-            other => panic!("firmware stopped: {other:?}"),
-        }
-    }
-
-    /// One legacy solo teardown step: run, and idle if halted. Unlike
-    /// [`Fleet::solo_pump`] a non-halt stop is ignored, matching the
-    /// pre-fleet teardown loops.
-    pub fn solo_settle(&mut self, run_chunk: u64, idle_chunk: u64) {
-        assert!(self.solo, "solo_settle drives a solo fleet");
-        let board = &mut self.slots[0].board;
-        if board.run(run_chunk) == RunOutcome::Halted {
-            board.idle(idle_chunk);
-        }
-    }
-
     /// Runs one epoch: the world first reaches the epoch's end, then
     /// every board — visited in `order` — executes its cycle slice up to
     /// the barrier. `order` must name each board exactly once; any
-    /// permutation yields identical observables (see module docs).
+    /// permutation yields identical observables (see module docs);
+    /// [`fleet_serve`] refuses any other order up front.
     ///
     /// # Panics
     ///
-    /// If called on a solo fleet, or a board's firmware stops for any
-    /// reason other than halting.
+    /// If a board's firmware stops for any reason other than halting;
+    /// in debug builds also if `order` is not a permutation of the
+    /// boards.
     pub fn run_epoch(&mut self, order: &[usize]) {
-        assert!(!self.solo, "the epoch scheduler drives multi-board fleets");
         debug_assert_eq!(
             {
                 let mut o = order.to_vec();
@@ -346,7 +280,6 @@ impl Fleet {
     /// soonest device deadline, so nothing observable lands inside the
     /// skipped window. Returns the number of epochs skipped.
     pub fn fast_forward(&mut self, max_epochs: u64) -> u64 {
-        assert!(!self.solo, "the epoch scheduler drives multi-board fleets");
         if max_epochs == 0 || self.slots.is_empty() || !self.all_parked() {
             return 0;
         }
@@ -391,7 +324,7 @@ impl Fleet {
 }
 
 // ---------------------------------------------------------------------------
-// Balanced fleet serving driver
+// The serving driver
 // ---------------------------------------------------------------------------
 
 /// Highest host octet a simulated `10.0.<net>.0/24` hands out; `.255`
@@ -405,7 +338,7 @@ pub struct AddressLimit {
     pub role: &'static str,
     /// How many were asked for.
     pub wanted: usize,
-    /// How many fit: `MAX_HOST_OCTET - first + 1`.
+    /// How many fit: [`MAX_HOST_OCTET`].
     pub limit: usize,
     /// The subnet's third octet.
     pub net: u8,
@@ -423,19 +356,14 @@ impl std::fmt::Display for AddressLimit {
 
 impl std::error::Error for AddressLimit {}
 
-/// Addresses `count` `role` hosts as `10.0.<net>.<first + i>`, the one
-/// place the drivers turn a host index into an IP octet.
+/// Addresses `count` `role` hosts as `10.0.<net>.<1 + i>`, the one
+/// place the driver turns a host index into an IP octet.
 ///
 /// # Errors
 ///
 /// [`AddressLimit`] when the last octet would pass [`MAX_HOST_OCTET`].
-pub fn subnet_hosts(
-    net: u8,
-    first: u8,
-    count: usize,
-    role: &'static str,
-) -> Result<Vec<Ipv4>, AddressLimit> {
-    let limit = (usize::from(MAX_HOST_OCTET) + 1).saturating_sub(usize::from(first));
+pub fn subnet_hosts(net: u8, count: usize, role: &'static str) -> Result<Vec<Ipv4>, AddressLimit> {
+    let limit = usize::from(MAX_HOST_OCTET);
     if count > limit {
         return Err(AddressLimit {
             role,
@@ -444,7 +372,7 @@ pub fn subnet_hosts(
             net,
         });
     }
-    Ok((first..=MAX_HOST_OCTET)
+    Ok((1..=MAX_HOST_OCTET)
         .take(count)
         .map(|octet| Ipv4::new(10, 0, net, octet))
         .collect())
@@ -467,16 +395,21 @@ pub struct FleetSpec {
     pub engine: Engine,
     /// Compiler options for the shared firmware build.
     pub opts: dcc::Options,
-    /// Number of boards behind the balancer.
+    /// Number of boards.
     pub boards: usize,
-    /// How the balancer routes new connections.
-    pub policy: LbPolicy,
+    /// How the balancer routes new connections. `None` means no
+    /// balancer: one board with every client linked straight to it, so
+    /// clients beyond its connection handles wait in its listen backlog.
+    pub policy: Option<LbPolicy>,
     /// Firmware flavour (one build, loaded into every board).
     pub firmware: FleetFirmware,
-    /// Host-side clients, all dialing the balancer's front port.
+    /// Host-side clients, all dialing the front end: the balancer's
+    /// front port, or the board itself on a direct link.
     pub clients: Vec<GuestClient>,
-    /// Inject a console probe into every parked board each `gap`
-    /// microseconds of virtual time (per-board schedule).
+    /// Inject a console probe into every board each `gap` microseconds
+    /// of virtual time (per-board schedule). Behind a balancer only a
+    /// parked board is probed; on a direct link the probes start with
+    /// the service and land busy or not.
     pub probe_gap_us: Option<u64>,
     /// Board indices whose balancer link drops every packet — the
     /// dead-backend case the balancer must route around.
@@ -490,7 +423,7 @@ pub struct FleetSpec {
     /// Per-client dial times in absolute virtual µs (same order as
     /// `clients`); a client whose time falls inside boot dials right
     /// after boot. Empty means everyone dials as soon as the fleet is
-    /// up — the legacy shape.
+    /// up.
     pub dials: Vec<u64>,
     /// Balancer dead-backend re-probe gap
     /// ([`LoadBalancer::set_retry_after_us`]); `None` keeps dead
@@ -502,19 +435,22 @@ pub struct FleetSpec {
     /// SHA-1/KDF burst keeps the wire silent for hundreds of virtual
     /// ms). `None` never stalls a session out.
     pub lb_stall_timeout_us: Option<u64>,
+    /// Attribute every board's guest cycles to firmware symbols
+    /// ([`BoardReport::profile`]).
+    pub profile: bool,
 }
 
 impl FleetSpec {
     /// A spec with the common defaults: the firmware compiler options
     /// ([`dcc::Options::firmware`]), round-robin, secure firmware, no
-    /// probes, no dead links, index visit order.
+    /// probes, no dead links, index visit order, no profiler.
     #[must_use]
     pub fn new(engine: Engine, boards: usize, psk: &[u8], clients: Vec<GuestClient>) -> FleetSpec {
         FleetSpec {
             engine,
             opts: dcc::Options::firmware(),
             boards,
-            policy: LbPolicy::RoundRobin,
+            policy: Some(LbPolicy::RoundRobin),
             firmware: FleetFirmware::SecureEcho { psk: psk.to_vec() },
             clients,
             probe_gap_us: None,
@@ -524,6 +460,51 @@ impl FleetSpec {
             dials: Vec::new(),
             lb_retry_after_us: None,
             lb_stall_timeout_us: None,
+            profile: false,
+        }
+    }
+
+    /// Refuses a spec the driver would run unfaithfully — an order that
+    /// skips a board, a link to no board, a direct link asked to do a
+    /// balancer's job — before any firmware is built.
+    fn validate(&self) {
+        let n = self.boards;
+        assert!(n >= 1, "a fleet has at least one board");
+        for order in &self.orders {
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert!(
+                sorted.into_iter().eq(0..n),
+                "visit order {order:?} does not name each of the {n} boards once"
+            );
+        }
+        if let Some(b) = self.dead_links.iter().find(|&&b| b >= n) {
+            panic!("dead link names board {b} of {n}");
+        }
+        if self.policy.is_none() {
+            assert!(
+                n == 1,
+                "a direct link serves one board, not {n}: set a policy"
+            );
+            assert!(
+                self.dead_links.is_empty(),
+                "dead links need a balancer: a direct link has no board link to drop"
+            );
+            assert!(
+                self.faults.is_empty(),
+                "fault plans need a balancer: a direct link has no board link to fault"
+            );
+            assert!(
+                self.lb_retry_after_us.is_none() && self.lb_stall_timeout_us.is_none(),
+                "balancer timeouts need a balancer: a direct link has none to configure"
+            );
+        }
+        assert!(
+            self.dials.is_empty() || self.dials.len() == self.clients.len(),
+            "one dial time per client"
+        );
+        if let FleetFirmware::SecureEcho { psk } = &self.firmware {
+            assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
         }
     }
 }
@@ -541,6 +522,9 @@ pub struct BoardReport {
     pub accepts: u16,
     /// Guest `nopen` counter — 0 after an orderly teardown.
     pub open: u16,
+    /// Peak simultaneously-open NIC connection handles, sampled at every
+    /// epoch barrier.
+    pub peak_open: usize,
     /// Per-handle guest counters (secure firmware only; empty for
     /// plain echo).
     pub conns: Vec<ConnCounters>,
@@ -549,16 +533,20 @@ pub struct BoardReport {
     pub alert_kinds: [u16; 3],
     /// Serial console output.
     pub serial_tx: Vec<u8>,
+    /// Cycle attribution by firmware symbol, when [`FleetSpec::profile`]
+    /// is set.
+    pub profile: Option<ProfileReport>,
 }
 
-/// Result of one balanced fleet serving run.
+/// Result of one fleet serving run.
 #[derive(Debug)]
 pub struct FleetRun {
     /// Per-client observations, in `clients` order.
     pub outcomes: Vec<ClientOutcome>,
     /// Per-board reports, in board order.
     pub boards: Vec<BoardReport>,
-    /// Balancer per-backend routing statistics, in board order.
+    /// Balancer per-backend routing statistics, in board order; empty
+    /// without a balancer.
     pub backends: Vec<BackendStats>,
     /// Epochs the fleet scheduler ran (fast-forwarded ones included).
     pub epochs: u64,
@@ -677,20 +665,88 @@ impl FaultDriver {
     }
 }
 
-/// Runs `spec.boards` boards behind a simulated TCP load balancer
-/// against `spec.clients` concurrent host-side clients. Every
-/// observable is a deterministic function of the spec — identical on
-/// both engines and under any per-epoch board visit order.
+/// The moving parts of one [`fleet_serve`] run that every epoch barrier
+/// touches.
+struct Barrier<'a> {
+    spec: &'a FleetSpec,
+    world: Rc<RefCell<World>>,
+    fleet: Fleet,
+    /// The balancer, absent on a direct link.
+    lb: Option<LoadBalancer>,
+    /// Balancer-to-board links, in board order (empty on a direct link).
+    links: Vec<LinkId>,
+    faults: FaultDriver,
+    identity: Vec<usize>,
+    peak_open: Vec<usize>,
+}
+
+impl Barrier<'_> {
+    /// One epoch in this epoch's visit order, then the faults it made
+    /// due, one balancer pump, and every board's open-handle peak.
+    fn epoch(&mut self) {
+        let orders = &self.spec.orders;
+        let order = if orders.is_empty() {
+            &self.identity
+        } else {
+            &orders[(self.fleet.epochs() % orders.len() as u64) as usize]
+        };
+        self.fleet.run_epoch(order);
+        self.faults.apply_due(
+            &mut self.fleet,
+            &self.world,
+            &self.links,
+            &self.spec.dead_links,
+        );
+        if let Some(lb) = &mut self.lb {
+            lb.pump();
+        }
+        for (i, peak) in self.peak_open.iter_mut().enumerate() {
+            let open = self.fleet.board(i).nic().map_or(0, Nic::open_handles);
+            *peak = (*peak).max(open);
+        }
+    }
+}
+
+/// The profiler's symbol table for `build`, without `dcc`'s generated
+/// branch labels (`L<n>_...`): they would fragment each C function's
+/// cycles across its basic blocks. Everything else stays — `_name` C
+/// functions and runtime helpers, and the AES module's named internals
+/// (`encrypt`, `subshift`, ...), so nearest-label-below resolution
+/// folds blocks into functions without hiding where the assembly spends
+/// its time.
+fn profile_symbols(build: &dcc::Build) -> SymbolTable {
+    let local = |n: &str| {
+        n.strip_prefix('L')
+            .and_then(|r| r.chars().next())
+            .is_some_and(|c| c.is_ascii_digit())
+    };
+    SymbolTable::from_pairs(
+        build
+            .image
+            .symbols
+            .iter()
+            .filter(|(n, _)| !local(n))
+            .map(|(n, &a)| (n.as_str(), a)),
+    )
+}
+
+/// Runs `spec.boards` boards against `spec.clients` concurrent
+/// host-side clients, behind a simulated TCP load balancer or (policy
+/// `None`) on a direct link to one board. Every observable is a
+/// deterministic function of the spec — identical on both engines and
+/// under any per-epoch board visit order.
 ///
 /// # Panics
 ///
-/// If the boards or clients do not fit their /24 ([`subnet_hosts`]), a
-/// board's firmware faults, or the session does not converge.
+/// If the spec is inconsistent (see [`FleetSpec`]'s fields), the boards
+/// or clients do not fit their /24 ([`subnet_hosts`]), a board's
+/// firmware faults, or the session does not converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
-    assert!(spec.boards >= 1, "a fleet has at least one board");
-    let board_ips = subnet_hosts(1, 1, spec.boards, "board").unwrap_or_else(|e| panic!("{e}"));
+    spec.validate();
+    let faults = FaultDriver::new(&spec.faults, spec.boards);
+    let board_ips = subnet_hosts(1, spec.boards, "board").unwrap_or_else(|e| panic!("{e}"));
     let client_ips =
-        subnet_hosts(2, 1, spec.clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
+        subnet_hosts(2, spec.clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
     let (build, port) = match &spec.firmware {
         FleetFirmware::PlainEcho => (build_serve_firmware(spec.opts), SERVE_PORT),
         FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
@@ -703,8 +759,12 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         let board = fleet.board_mut(b);
         board.load(&build.image);
         board.set_pc(dcc::layout::CODE_ORG);
+        if spec.profile {
+            board.cpu.enable_profiler();
+        }
         if let FleetFirmware::SecureEcho { psk } = &spec.firmware {
-            assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
+            // Root data lives in SRAM; `Memory::load` models the kit's
+            // programming port.
             let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
             board.mem.load(psk_phys, psk);
             let psklen_phys = build.symbol_phys("_psklen").expect("C global `psklen`");
@@ -714,33 +774,34 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         }
     }
 
-    let mut lb = LoadBalancer::attach(
-        &world,
-        "lb",
-        Ipv4::new(10, 0, 0, 250),
-        port,
-        64,
-        spec.policy,
-    );
-    // Each board owns MAX_CONNS connection handles; clients beyond the
-    // fleet-wide capacity wait at the balancer, not in a board backlog
-    // (where the connect-timeout health check would misread a busy
-    // board as a dead one).
-    lb.set_max_inflight(Some(MAX_CONNS));
-    lb.set_retry_after_us(spec.lb_retry_after_us);
-    lb.set_stall_timeout_us(spec.lb_stall_timeout_us);
-    let lb_ip = lb.host().ip();
-    let mut board_links: Vec<LinkId> = Vec::with_capacity(spec.boards);
-    for i in 0..spec.boards {
-        let link = if spec.dead_links.contains(&i) {
-            LinkParams::ethernet_10base_t().with_drop_rate(1.0)
-        } else {
-            LinkParams::ethernet_10base_t()
-        };
-        let board_host = fleet.host(i).id();
-        board_links.push(world.borrow_mut().link(lb.host().id(), board_host, link));
-        lb.add_backend(Endpoint::new(fleet.ip(i), port));
-    }
+    // The front end every client dials: the balancer, or board 0.
+    let mut links: Vec<LinkId> = Vec::new();
+    let (lb, front_host, front) = match spec.policy {
+        Some(policy) => {
+            let mut lb =
+                LoadBalancer::attach(&world, "lb", Ipv4::new(10, 0, 0, 250), port, 64, policy);
+            // Each board owns MAX_CONNS connection handles; clients
+            // beyond the fleet-wide capacity wait at the balancer, not
+            // in a board backlog (where the connect-timeout health check
+            // would misread a busy board as a dead one).
+            lb.set_max_inflight(Some(MAX_CONNS));
+            lb.set_retry_after_us(spec.lb_retry_after_us);
+            lb.set_stall_timeout_us(spec.lb_stall_timeout_us);
+            for i in 0..spec.boards {
+                let link = if spec.dead_links.contains(&i) {
+                    LinkParams::ethernet_10base_t().with_drop_rate(1.0)
+                } else {
+                    LinkParams::ethernet_10base_t()
+                };
+                let board_host = fleet.host(i).id();
+                links.push(world.borrow_mut().link(lb.host().id(), board_host, link));
+                lb.add_backend(Endpoint::new(fleet.ip(i), port));
+            }
+            let (host, ip) = (lb.host().id(), lb.host().ip());
+            (Some(lb), host, Endpoint::new(ip, port))
+        }
+        None => (None, fleet.host(0).id(), Endpoint::new(fleet.ip(0), port)),
+    };
 
     let mut hosts: Vec<SimHost> = client_ips
         .into_iter()
@@ -748,42 +809,34 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
-                .link(lb.host().id(), host.id(), LinkParams::ethernet_10base_t());
+                .link(front_host, host.id(), LinkParams::ethernet_10base_t());
             host
         })
         .collect();
 
-    let identity: Vec<usize> = (0..spec.boards).collect();
-    let order_at = |orders: &[Vec<usize>], e: u64| -> Vec<usize> {
-        if orders.is_empty() {
-            identity.clone()
-        } else {
-            orders[usize::try_from(e).expect("few epochs") % orders.len()].clone()
-        }
+    let mut run = Barrier {
+        spec,
+        world: Rc::clone(&world),
+        fleet,
+        lb,
+        links,
+        faults,
+        identity: (0..spec.boards).collect(),
+        peak_open: vec![0; spec.boards],
     };
-
-    let mut faults = FaultDriver::new(&spec.faults, spec.boards);
 
     // Boot: every board's main seeds its state, configures serial + NIC,
     // and parks in idle().
-    let mut boot_epochs = 0u64;
     loop {
-        let order = order_at(&spec.orders, fleet.epochs());
-        fleet.run_epoch(&order);
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        boot_epochs += 1;
-        if fleet.all_parked() {
+        run.epoch();
+        if run.fleet.all_parked() {
             break;
         }
-        assert!(boot_epochs < 2_000, "fleet firmware boots");
+        assert!(run.fleet.epochs() < 2_000, "fleet firmware boots");
     }
 
-    // Clients dial the balancer's front address at their scheduled
-    // times (everyone immediately, in the legacy no-dials shape).
-    assert!(
-        spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
-        "one dial time per client"
-    );
+    // Clients dial the front end at their scheduled times (everyone
+    // immediately when no dial times are given).
     let dial_at: Vec<u64> = if spec.dials.is_empty() {
         vec![0; spec.clients.len()]
     } else {
@@ -795,14 +848,25 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     const MAX_EPOCHS: u64 = 4_000_000; // 200 virtual seconds
     const FF_CHUNK: u64 = 200; // 10ms of skipped idle per decision
 
-    let mut next_probe: Vec<u64> = vec![spec.probe_gap_us.unwrap_or(0); spec.boards];
+    // Console probes land at epoch barriers, where both engines stop at
+    // the same instruction boundary and sample a new interrupt before the
+    // next one, so the console transcript is a deterministic function of
+    // virtual time. Behind a balancer, a board is probed only while
+    // parked, on a schedule that runs from power-on. On a direct link the
+    // console is the operator's terminal of the paper's single-board
+    // service: probed from the moment the service is up, busy or not —
+    // the priority-2 serial ISR preempts the NIC routine and reports the
+    // open count that routine last published.
+    let direct = spec.policy.is_none();
+    let first_probe = if direct { 0 } else { spec.probe_gap_us.unwrap_or(0) };
+    let mut next_probe: Vec<u64> = vec![first_probe; spec.boards];
 
     loop {
         {
             let now = world.borrow().now();
             for (i, conn) in conns.iter_mut().enumerate() {
                 if conn.is_none() && now >= dial_at[i] {
-                    *conn = Some(hosts[i].connect(Endpoint::new(lb_ip, port)));
+                    *conn = Some(hosts[i].connect(front));
                 }
             }
         }
@@ -810,27 +874,21 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             break;
         }
         assert!(
-            fleet.epochs() < MAX_EPOCHS,
+            run.fleet.epochs() < MAX_EPOCHS,
             "fleet serve session did not converge"
         );
-        let order = order_at(&spec.orders, fleet.epochs());
-        fleet.run_epoch(&order);
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        lb.pump();
+        run.epoch();
 
         if let Some(gap) = spec.probe_gap_us {
-            // Probes only against a parked board: the injection point is
-            // then a deterministic function of virtual time, identical
-            // on both engines and under any visit order.
             let now = world.borrow().now();
             for (i, due) in next_probe.iter_mut().enumerate() {
                 // A wedged board is parked but must not accumulate a
                 // backlog of probe bytes to replay on resurrection; its
                 // probe clock keeps ticking, it just skips the injects.
-                let wedged = fleet.state(i) == BoardState::Wedged;
-                if now >= *due && fleet.parked(i) {
+                let wedged = run.fleet.state(i) == BoardState::Wedged;
+                if now >= *due && (direct || run.fleet.parked(i)) {
                     if !wedged {
-                        fleet.board_mut(i).serial_mut().inject(SERIAL_PROBE);
+                        run.fleet.board_mut(i).serial_mut().inject(SERIAL_PROBE);
                     }
                     *due = now + gap;
                 }
@@ -855,7 +913,7 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             if spec.probe_gap_us.is_some() {
                 soonest = soonest.min(next_probe.iter().copied().min().unwrap_or(u64::MAX));
             }
-            if let Some(t) = faults.next_due_us() {
+            if let Some(t) = run.faults.next_due_us() {
                 soonest = soonest.min(t);
             }
             for (i, conn) in conns.iter().enumerate() {
@@ -872,46 +930,44 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             }
         }
         if bound > 0 {
-            fleet.fast_forward(bound);
+            run.fleet.fast_forward(bound);
         }
     }
 
-    // Orderly teardown: FINs propagate through the balancer, the guests
-    // observe them and free their handles. Late plan events (a
-    // resurrection scheduled past the last echo) still apply.
+    // Orderly teardown: FINs propagate (through the balancer, if any),
+    // the guests observe them and free their handles. Late plan events
+    // (a resurrection scheduled past the last echo) still apply.
     for _ in 0..150 {
-        let order = order_at(&spec.orders, fleet.epochs());
-        fleet.run_epoch(&order);
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        lb.pump();
+        run.epoch();
     }
 
     let read_arr = |board: &Board, name: &str, idx: usize| -> u16 {
         let phys = build.symbol_phys(name).expect("C global exists") + 2 * idx as u32;
         u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
     };
+    let secure = matches!(spec.firmware, FleetFirmware::SecureEcho { .. });
+    let syms = spec.profile.then(|| profile_symbols(&build));
 
     let reports: Vec<BoardReport> = (0..spec.boards)
         .map(|i| {
-            let board = fleet.board(i);
-            let conns = match &spec.firmware {
-                FleetFirmware::PlainEcho => Vec::new(),
-                FleetFirmware::SecureEcho { .. } => (0..MAX_CONNS)
+            let profile = run.fleet.board_mut(i).cpu.take_profiler();
+            let board = run.fleet.board(i);
+            let conns = if secure {
+                (0..MAX_CONNS)
                     .map(|h| ConnCounters {
                         handshakes: read_arr(board, "_hs_ok", h),
                         records_in: read_arr(board, "_rec_in", h),
                         records_out: read_arr(board, "_rec_out", h),
                         alerts: read_arr(board, "_alerts", h),
                     })
-                    .collect(),
+                    .collect()
+            } else {
+                Vec::new()
             };
-            let alert_kinds = match &spec.firmware {
-                FleetFirmware::PlainEcho => [0; 3],
-                FleetFirmware::SecureEcho { .. } => [
-                    read_arr(board, "_alert_kind", 0),
-                    read_arr(board, "_alert_kind", 1),
-                    read_arr(board, "_alert_kind", 2),
-                ],
+            let alert_kinds = if secure {
+                [0, 1, 2].map(|k| read_arr(board, "_alert_kind", k))
+            } else {
+                [0; 3]
             };
             BoardReport {
                 label: format!("board{i}"),
@@ -919,15 +975,17 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
                 instructions: board.cpu.instructions,
                 accepts: read_arr(board, "_naccepts", 0),
                 open: read_arr(board, "_nopen", 0),
+                peak_open: run.peak_open[i],
                 conns,
                 alert_kinds,
                 serial_tx: board.serial().transmitted().to_vec(),
+                profile: profile.zip(syms.as_ref()).map(|(p, syms)| p.report(syms)),
             }
         })
         .collect();
 
     // Publish the guests' counters into the shared registry under their
-    // board namespaces, mirroring what `secure_serve` does for board 0.
+    // board namespaces.
     {
         let w = world.borrow();
         let reg = w.telemetry();
@@ -946,8 +1004,11 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             }
             if !r.conns.is_empty() {
                 for (kind, &v) in crate::secure::ALERT_KIND_LABELS.iter().zip(&r.alert_kinds) {
-                    reg.counter(&format!("{}.issl.guest.alerts.kind", r.label), &[("kind", *kind)])
-                        .add(u64::from(v));
+                    reg.counter(
+                        &format!("{}.issl.guest.alerts.kind", r.label),
+                        &[("kind", *kind)],
+                    )
+                    .add(u64::from(v));
                 }
             }
         }
@@ -956,37 +1017,25 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     let snapshot = world.borrow().telemetry().snapshot().to_text();
     let virtual_us = world.borrow().now();
     let echoed_bytes = state.iter().map(|s| s.out.echoed.len() as u64).sum();
-    faults.report.corrupted_frames = world.borrow().stats.corrupted.get();
-    faults.report.failover_latencies_us = lb.failover_latencies_us().to_vec();
+    let mut faults = run.faults.report;
+    faults.corrupted_frames = world.borrow().stats.corrupted.get();
+    if let Some(lb) = &run.lb {
+        faults.failover_latencies_us = lb.failover_latencies_us().to_vec();
+    }
     FleetRun {
         outcomes: state.into_iter().map(|s| s.out).collect(),
         boards: reports,
-        backends: lb.backend_stats(),
-        epochs: fleet.epochs(),
+        backends: run
+            .lb
+            .as_ref()
+            .map_or_else(Vec::new, LoadBalancer::backend_stats),
+        epochs: run.fleet.epochs(),
         virtual_us,
         echoed_bytes,
         snapshot,
         code_size: build.code_size(),
-        faults: faults.report,
+        faults,
     }
-}
-
-/// The fault-scripted fleet driver: [`fleet_serve`] under a non-empty
-/// [`FaultPlan`]. The separate entry point exists so fault scenarios
-/// read as what they are; the scheduling machinery is shared, and a
-/// plan-free spec is rejected rather than silently running a vanilla
-/// serve.
-///
-/// # Panics
-///
-/// If `spec.faults` is empty, a board's firmware faults, or the session
-/// does not converge.
-pub fn fleet_faults(spec: &FleetSpec) -> FleetRun {
-    assert!(
-        !spec.faults.is_empty(),
-        "fleet_faults wants a fault plan; use fleet_serve for fault-free runs"
-    );
-    fleet_serve(spec)
 }
 
 #[cfg(test)]
@@ -1007,7 +1056,11 @@ mod tests {
         spec.firmware = FleetFirmware::PlainEcho;
         let r = fleet_serve(&spec);
         for (i, o) in r.outcomes.iter().enumerate() {
-            assert_eq!(o.echoed, format!("fleet echo {i}").into_bytes(), "client {i}");
+            assert_eq!(
+                o.echoed,
+                format!("fleet echo {i}").into_bytes(),
+                "client {i}"
+            );
         }
         // Round-robin spread the four sessions evenly.
         assert_eq!(
@@ -1023,18 +1076,15 @@ mod tests {
 
     #[test]
     fn subnet_hosts_fill_the_slash_24_and_refuse_the_next_host() {
-        let boards = subnet_hosts(1, 1, 254, "board").expect("254 boards fit");
+        let boards = subnet_hosts(1, 254, "board").expect("254 boards fit");
         assert_eq!(boards[0], Ipv4::new(10, 0, 1, 1));
         assert_eq!(boards[253], Ipv4::new(10, 0, 1, 254));
-        let err = subnet_hosts(2, 1, 255, "client").unwrap_err();
+        let err = subnet_hosts(2, 255, "client").unwrap_err();
         assert_eq!(
             err.to_string(),
             "255 clients exceed the limit of 254 clients in 10.0.2.0/24"
         );
-        // The solo drivers' clients start at .2, after the board.
-        let solo = subnet_hosts(0, 2, 253, "client").expect("253 clients fit");
-        assert_eq!(solo[252], Ipv4::new(10, 0, 0, 254));
-        assert_eq!(subnet_hosts(0, 2, 254, "client").unwrap_err().limit, 253);
+        assert_eq!(err.limit, 254);
     }
 
     #[test]
@@ -1048,6 +1098,60 @@ mod tests {
     #[should_panic(expected = "255 clients exceed the limit of 254 clients in 10.0.2.0/24")]
     fn fleet_serve_refuses_a_client_past_the_subnet() {
         let spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(255));
+        fleet_serve(&spec);
+    }
+
+    /// A spec with no balancer; the tests below break one rule each, so
+    /// `validate` refuses it before any firmware is built.
+    fn direct(boards: usize) -> FleetSpec {
+        let mut spec = FleetSpec::new(Engine::Interpreter, boards, b"", echo_clients(1));
+        spec.policy = None;
+        spec
+    }
+
+    #[test]
+    #[should_panic(expected = "visit order [0, 0] does not name each of the 2 boards once")]
+    fn fleet_serve_refuses_an_order_that_skips_a_board() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
+        spec.orders = vec![vec![1, 0], vec![0, 0]];
+        fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead link names board 2 of 2")]
+    fn fleet_serve_refuses_a_dead_link_past_the_fleet() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
+        spec.dead_links = vec![2];
+        fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "a direct link serves one board, not 2: set a policy")]
+    fn fleet_serve_refuses_a_direct_link_to_two_boards() {
+        fleet_serve(&direct(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "dead links need a balancer")]
+    fn fleet_serve_refuses_a_dead_link_without_a_balancer() {
+        let mut spec = direct(1);
+        spec.dead_links = vec![0];
+        fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plans need a balancer")]
+    fn fleet_serve_refuses_a_fault_plan_without_a_balancer() {
+        let mut spec = direct(1);
+        spec.faults = FaultPlan::new().wedge(0, 1_000);
+        fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "balancer timeouts need a balancer")]
+    fn fleet_serve_refuses_balancer_timeouts_without_a_balancer() {
+        let mut spec = direct(1);
+        spec.lb_stall_timeout_us = Some(2_000_000);
         fleet_serve(&spec);
     }
 

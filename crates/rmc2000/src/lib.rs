@@ -42,8 +42,8 @@ pub mod serve;
 pub use board::{Board, BoardCounters, Rtc, RunOutcome};
 pub use faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledFault};
 pub use fleet::{
-    fleet_faults, fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware,
-    FleetRun, FleetSpec, LbPolicy, EPOCH_CYCLES, EPOCH_US,
+    fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
+    LbPolicy, EPOCH_CYCLES, EPOCH_US,
 };
 pub use nic::{Nic, NicBackend, NicCounters, SimBackend, NIC_VECTOR};
 pub use secure::{
@@ -51,7 +51,7 @@ pub use secure::{
     Tamper, ALERT_KIND_LABELS, SECURE_PORT,
 };
 pub use serial::{SerialPort, SERIAL_A_VECTOR};
-pub use serve::{serve_clients, ServeRun, SERVE_PORT};
+pub use serve::SERVE_PORT;
 
 // The loader's address convention is the repo-wide one (shared with the
 // `dcc` harness); re-exported so existing `rmc2000::load_phys` callers

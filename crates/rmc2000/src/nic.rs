@@ -10,11 +10,11 @@
 //! the backend's *local* clock — [`Nic::tick`] converts CPU cycles to
 //! microseconds at [`CYCLES_PER_US`] (the repo-wide 30 MHz board clock).
 //! Whether that local clock also drags the shared `netsim` world along is
-//! the [`ClockMode`] contract: a solo board follows the legacy lockstep
-//! ([`ClockMode::Follow`]), while fleet boards are passive participants
-//! whose world is advanced only by the `rmc2000::fleet` scheduler —
-//! either way instruction execution and packet delivery share one
-//! deterministic timeline.
+//! the [`ClockMode`] contract: a bare board alone in its world drags the
+//! clock ([`ClockMode::Follow`]), while fleet boards are passive
+//! participants whose world is advanced only by the `rmc2000::fleet`
+//! scheduler — either way instruction execution and packet delivery
+//! share one deterministic timeline.
 //!
 //! # Connection handles
 //!
@@ -174,36 +174,9 @@ pub struct NicCounters {
 const CONN_LABELS: [&str; MAX_CONNS] = ["0", "1", "2"];
 
 impl NicCounters {
-    /// Registers the counters in `registry` under the single-board names
-    /// (`net.board.*`), and aliases each cell under the board-namespaced
-    /// name (`board0.net.board.*`) — so the E11–E14 snapshots keep their
-    /// historical keys while fleet-era tooling can address the same cells
-    /// uniformly. Idempotent: fetches the existing cells on a second
-    /// call.
-    pub fn register(registry: &telemetry::Registry) -> NicCounters {
-        let c = NicCounters {
-            rx_frames: registry.counter("net.board.rx_frames", &[]),
-            rx_bytes: registry.counter("net.board.rx_bytes", &[]),
-            tx_frames: registry.counter("net.board.tx_frames", &[]),
-            tx_bytes: registry.counter("net.board.tx_bytes", &[]),
-            irqs: registry.counter("net.board.irqs", &[]),
-            cmd_errors: registry.counter("net.board.cmd_errors", &[]),
-            conn: CONN_LABELS
-                .iter()
-                .map(|l| ConnCounters {
-                    accepts: registry.counter("net.board.conn.accepts", &[("conn", l)]),
-                    rx_bytes: registry.counter("net.board.conn.rx_bytes", &[("conn", l)]),
-                    tx_bytes: registry.counter("net.board.conn.tx_bytes", &[("conn", l)]),
-                })
-                .collect(),
-        };
-        c.alias(registry, 0);
-        c
-    }
-
-    /// Registers the counters under board-namespaced names only
-    /// (`board<idx>.net.board.*`) — the fleet form, where several boards
-    /// share one registry and the single-board names would collide.
+    /// Registers the counters in `registry` as board `idx`'s
+    /// (`board<idx>.net.board.*`), so boards sharing one registry never
+    /// collide. Idempotent: fetches the existing cells on a second call.
     pub fn register_board(registry: &telemetry::Registry, idx: usize) -> NicCounters {
         let p = |name: &str| format!("board{idx}.{name}");
         NicCounters {
@@ -221,23 +194,6 @@ impl NicCounters {
                     tx_bytes: registry.counter(&p("net.board.conn.tx_bytes"), &[("conn", l)]),
                 })
                 .collect(),
-        }
-    }
-
-    /// Aliases every cell under `board<idx>.`-prefixed names.
-    fn alias(&self, registry: &telemetry::Registry, idx: usize) {
-        let p = |name: &str| format!("board{idx}.{name}");
-        let _ = registry.alias_counter(&p("net.board.rx_frames"), &[], &self.rx_frames);
-        let _ = registry.alias_counter(&p("net.board.rx_bytes"), &[], &self.rx_bytes);
-        let _ = registry.alias_counter(&p("net.board.tx_frames"), &[], &self.tx_frames);
-        let _ = registry.alias_counter(&p("net.board.tx_bytes"), &[], &self.tx_bytes);
-        let _ = registry.alias_counter(&p("net.board.irqs"), &[], &self.irqs);
-        let _ = registry.alias_counter(&p("net.board.cmd_errors"), &[], &self.cmd_errors);
-        for (l, c) in CONN_LABELS.iter().zip(&self.conn) {
-            let labels = [("conn", *l)];
-            let _ = registry.alias_counter(&p("net.board.conn.accepts"), &labels, &c.accepts);
-            let _ = registry.alias_counter(&p("net.board.conn.rx_bytes"), &labels, &c.rx_bytes);
-            let _ = registry.alias_counter(&p("net.board.conn.tx_bytes"), &labels, &c.tx_bytes);
         }
     }
 
@@ -312,15 +268,14 @@ impl Nic {
         }
     }
 
-    /// A NIC attached to a `netsim` host under the legacy solo contract:
-    /// the backend's clock drives the world ([`ClockMode::Follow`]), and
-    /// the counters register under the single-board `net.board.*` names
-    /// (aliased as `board0.net.board.*`).
+    /// A NIC attached to a `netsim` host as the world's only board: the
+    /// backend's clock drives the world ([`ClockMode::Follow`]), and the
+    /// counters register as board 0's (`board0.net.board.*`).
     pub fn simulated(host: SimHost) -> Nic {
         let counters = {
             let world = host.world();
             let world = world.borrow();
-            NicCounters::register(world.telemetry())
+            NicCounters::register_board(world.telemetry(), 0)
         };
         Nic::with_counters(Box::new(SimBackend::new(host)), counters)
     }
@@ -624,11 +579,12 @@ struct SimConn {
 /// the backend itself only *reports* its local time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockMode {
-    /// The legacy one-board contract: the world's clock follows this
-    /// board's local clock exactly (every advance drags
+    /// The bare-board contract: the world's clock follows this board's
+    /// local clock exactly (every advance drags
     /// [`netsim::World::run_for`] along). Only valid while this board is
-    /// the world's sole clock driver — the contract
-    /// [`crate::fleet`] exists to replace.
+    /// the world's sole clock driver; the bare-board harnesses
+    /// ([`crate::echo`], sub-epoch run/idle tests) use it, every serving
+    /// run goes through [`crate::fleet`].
     Follow,
     /// A fleet participant: advances accumulate in the backend's local
     /// clock only; the `rmc2000::fleet` scheduler owns the world's clock
@@ -655,8 +611,8 @@ pub struct SimBackend {
 const LISTEN_BACKLOG: usize = 8;
 
 impl SimBackend {
-    /// Wraps a host handle under the legacy [`ClockMode::Follow`]
-    /// contract (this board drives the world's clock).
+    /// Wraps a host handle under the [`ClockMode::Follow`] contract
+    /// (this board drives the world's clock).
     pub fn new(host: SimHost) -> SimBackend {
         SimBackend::with_mode(host, ClockMode::Follow)
     }
@@ -687,8 +643,7 @@ impl NicBackend for SimBackend {
         self.local_us += us;
         match self.mode {
             ClockMode::Follow => {
-                // The world follows this board exactly — the legacy
-                // solo contract, byte-for-byte.
+                // The world follows this board exactly.
                 let now = self.host.now();
                 if self.local_us > now {
                     self.host.advance(self.local_us - now);

@@ -22,25 +22,20 @@
 //! across the interpreter and block-cache engines; the tier-1 suites
 //! assert it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crypto::Prng;
 use issl::recmap;
 use issl::{CipherSuite, ClientConfig, ClientKx, SessionMachine};
-use netsim::{Endpoint, Ipv4, LinkParams, Recv, SimHost, SocketId, World};
+use netsim::{Recv, SimHost, SocketId};
 use rabbit::nicmap::{
     MAX_CONNS, STATUS_ACCEPT_READY, STATUS_ERR, STATUS_PEER_CLOSED, STATUS_RX_AVAIL,
     STATUS_TX_READY,
 };
 use rabbit::Engine;
-use telemetry::{ProfileReport, SymbolTable};
+use telemetry::ProfileReport;
 
-use crate::fleet::subnet_hosts;
+use crate::fleet::{fleet_serve, FleetSpec};
 use crate::nic::NIC_VECTOR;
 use crate::serial::SERIAL_A_VECTOR;
-use crate::serve::SERIAL_PROBE;
-use crate::RunOutcome;
 
 /// TCP port the secure server listens on.
 pub const SECURE_PORT: u16 = 443;
@@ -810,6 +805,9 @@ pub struct SecureRun {
     pub accepts: u16,
     /// Guest `nopen` counter — 0 after an orderly teardown.
     pub open: u16,
+    /// Peak simultaneously-open NIC connection handles, sampled at every
+    /// epoch barrier.
+    pub peak_open: usize,
     /// Guest cycles consumed (including halted idle cycles).
     pub cycles: u64,
     /// Guest instructions executed.
@@ -819,7 +817,7 @@ pub struct SecureRun {
     /// Serial console output (`S<open-handles>\n` probe answers).
     pub serial_tx: Vec<u8>,
     /// Deterministic text snapshot of the world telemetry, including the
-    /// `issl.guest.*` counters this driver publishes.
+    /// guest's `board0.issl.guest.*` counters.
     pub snapshot: String,
     /// Root code size of the compiled firmware, in bytes.
     pub code_size: usize,
@@ -1057,8 +1055,7 @@ pub(crate) fn step_client(host: &mut SimHost, conn: SocketId, st: &mut Cs) {
 
 /// Builds the per-client driver state for `clients`, in order. The PRNG
 /// seed depends only on the client index, so the same workload produces
-/// the same ClientHello bytes in every driver ([`secure_serve`] and the
-/// fleet driver share this).
+/// the same ClientHello bytes on every topology.
 pub(crate) fn client_states(clients: &[GuestClient]) -> Vec<Cs> {
     clients
         .iter()
@@ -1125,16 +1122,15 @@ pub(crate) fn client_states(clients: &[GuestClient]) -> Vec<Cs> {
         .collect()
 }
 
-/// Runs the compiled-C secure server against `clients.len()` concurrent
-/// host-side clients; `psk` is the credential poked into the board's C
-/// globals before boot. Mirrors [`crate::serve::serve_clients`]: console
-/// probes are injected only against a halted CPU, so every observable is
-/// a deterministic function of the workload — identical on both engines.
+/// Runs the compiled-C secure server on one board, every client linked
+/// straight to it: [`fleet_serve`] with no balancer, `psk` poked into
+/// the board's C globals before boot, the profiler on when `profile` is
+/// set, and the run reshaped as a [`SecureRun`].
 ///
 /// # Panics
 ///
-/// If `psk` exceeds the guest's 64-byte key buffer, the firmware faults,
-/// or the session does not converge.
+/// As [`fleet_serve`]; in particular if `psk` exceeds the guest's
+/// 64-byte key buffer.
 pub fn secure_serve(
     engine: Engine,
     opts: dcc::Options,
@@ -1143,174 +1139,28 @@ pub fn secure_serve(
     probe_gap_us: Option<u64>,
     profile: bool,
 ) -> SecureRun {
-    assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
-    let client_ips = subnet_hosts(0, 2, clients.len(), "client").unwrap_or_else(|e| panic!("{e}"));
-    let build = build_secure_firmware(opts);
-
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let mut fleet = crate::fleet::Fleet::new(&world);
-    let b = fleet.add_solo_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let board_ip = fleet.ip(b);
-    let board_id = fleet.host(b).id();
-    let mut hosts: Vec<SimHost> = client_ips
-        .into_iter()
-        .map(|ip| {
-            let host = SimHost::attach(&world, "client", ip);
-            world
-                .borrow_mut()
-                .link(board_id, host.id(), LinkParams::ethernet_10base_t());
-            host
-        })
-        .collect();
-
-    let board = fleet.board_mut(b);
-    board.load(&build.image);
-    board.set_pc(dcc::layout::CODE_ORG);
-    if profile {
-        board.cpu.enable_profiler();
-    }
-
-    // Poke the credential into the guest's C globals: root data lives in
-    // SRAM, and `Memory::load` models the kit's programming port.
-    let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
-    board.mem.load(psk_phys, psk);
-    let psklen_phys = build.symbol_phys("_psklen").expect("C global `psklen`");
-    board
-        .mem
-        .load(psklen_phys, &(psk.len() as u16).to_le_bytes());
-
-    // Boot: main seeds the PRNG, configures serial + NIC, parks in idle().
-    assert_eq!(board.run(200_000), RunOutcome::Halted, "firmware boots");
-
-    let conns: Vec<SocketId> = hosts
-        .iter_mut()
-        .map(|h| h.connect(Endpoint::new(board_ip, SECURE_PORT)))
-        .collect();
-
-    let mut state: Vec<Cs> = client_states(clients);
-
-    const RUN_CHUNK: u64 = 2_000;
-    const IDLE_CHUNK: u64 = 100 * crate::nic::CYCLES_PER_US;
-    const MAX_CYCLES: u64 = 800_000_000;
-
-    let mut next_probe_us = probe_gap_us.unwrap_or(0);
-
-    while state.iter().any(|s| !s.done) {
-        assert!(
-            fleet.board(b).cpu.cycles < MAX_CYCLES,
-            "secure serve session did not converge"
-        );
-        fleet.solo_pump(RUN_CHUNK, IDLE_CHUNK, |board| {
-            if let Some(gap) = probe_gap_us {
-                if world.borrow().now() >= next_probe_us {
-                    board.serial_mut().inject(SERIAL_PROBE);
-                    next_probe_us = world.borrow().now() + gap;
-                }
-            }
-        });
-        for ((host, &conn), st) in hosts.iter_mut().zip(&conns).zip(state.iter_mut()) {
-            if !st.done {
-                step_client(host, conn, st);
-            }
-        }
-    }
-
-    // Orderly teardown: the guest observes the FINs and frees its handles.
-    for _ in 0..40 {
-        fleet.solo_settle(RUN_CHUNK, IDLE_CHUNK);
-    }
-    let board = fleet.board_mut(b);
-
-    let read_arr = |name: &str, idx: usize| -> u16 {
-        let phys = build.symbol_phys(name).expect("C global exists") + 2 * idx as u32;
-        u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
-    };
-    let conn_counters: Vec<ConnCounters> = (0..MAX_CONNS)
-        .map(|h| ConnCounters {
-            handshakes: read_arr("_hs_ok", h),
-            records_in: read_arr("_rec_in", h),
-            records_out: read_arr("_rec_out", h),
-            alerts: read_arr("_alerts", h),
-        })
-        .collect();
-    let accepts = read_arr("_naccepts", 0);
-    let open = read_arr("_nopen", 0);
-    let alert_kinds = [
-        read_arr("_alert_kind", 0),
-        read_arr("_alert_kind", 1),
-        read_arr("_alert_kind", 2),
-    ];
-
-    // Publish the guest's counters into the shared registry so the
-    // snapshot carries handshake/record/alert counts per handle.
-    {
-        let w = world.borrow();
-        let reg = w.telemetry();
-        for (h, c) in conn_counters.iter().enumerate() {
-            let hl = h.to_string();
-            let labels = [("conn", hl.as_str())];
-            for (name, v) in [
-                ("issl.guest.handshakes", u64::from(c.handshakes)),
-                ("issl.guest.records.in", u64::from(c.records_in)),
-                ("issl.guest.records.out", u64::from(c.records_out)),
-                ("issl.guest.alerts", u64::from(c.alerts)),
-            ] {
-                let counter = reg.counter(name, &labels);
-                // A single-board run is board 0 of a one-board fleet: the
-                // namespaced key shares the legacy counter's cell.
-                reg.alias_counter(&format!("board0.{name}"), &labels, &counter);
-                counter.add(v);
-            }
-        }
-        for (kind, &v) in ALERT_KIND_LABELS.iter().zip(&alert_kinds) {
-            let labels = [("kind", *kind)];
-            let counter = reg.counter("issl.guest.alerts.kind", &labels);
-            reg.alias_counter("board0.issl.guest.alerts.kind", &labels, &counter);
-            counter.add(u64::from(v));
-        }
-    }
-
-    let profile_report = board.cpu.take_profiler().map(|p| {
-        // Drop `dcc`'s generated branch labels (`L<n>_...`): they would
-        // fragment each C function's cycles across its basic blocks.
-        // Everything else stays — `_name` C functions and runtime
-        // helpers, and the AES module's named internals (`encrypt`,
-        // `subshift`, ...), so nearest-label-below resolution folds
-        // blocks into functions without hiding where the assembly
-        // spends its time.
-        let local = |n: &str| {
-            n.strip_prefix('L')
-                .and_then(|r| r.chars().next())
-                .is_some_and(|c| c.is_ascii_digit())
-        };
-        let syms = SymbolTable::from_pairs(
-            build
-                .image
-                .symbols
-                .iter()
-                .filter(|(n, _)| !local(n))
-                .map(|(n, &a)| (n.as_str(), a)),
-        );
-        p.report(&syms)
-    });
-
-    let snapshot = world.borrow().telemetry().snapshot().to_text();
-    let virtual_us = world.borrow().now();
-    let echoed_bytes = state.iter().map(|s| s.out.echoed.len() as u64).sum();
+    let mut spec = FleetSpec::new(engine, 1, psk, clients.to_vec());
+    spec.opts = opts;
+    spec.policy = None;
+    spec.probe_gap_us = probe_gap_us;
+    spec.profile = profile;
+    let run = fleet_serve(&spec);
+    let board = run.boards.into_iter().next().expect("one board");
     SecureRun {
-        outcomes: state.into_iter().map(|s| s.out).collect(),
-        conns: conn_counters,
-        alert_kinds,
-        accepts,
-        open,
-        cycles: board.cpu.cycles,
-        instructions: board.cpu.instructions,
-        virtual_us,
-        serial_tx: board.serial().transmitted().to_vec(),
-        snapshot,
-        code_size: build.code_size(),
-        echoed_bytes,
-        profile: profile_report,
+        outcomes: run.outcomes,
+        conns: board.conns,
+        alert_kinds: board.alert_kinds,
+        accepts: board.accepts,
+        open: board.open,
+        peak_open: board.peak_open,
+        cycles: board.cycles,
+        instructions: board.instructions,
+        virtual_us: run.virtual_us,
+        serial_tx: board.serial_tx,
+        snapshot: run.snapshot,
+        code_size: run.code_size,
+        echoed_bytes: run.echoed_bytes,
+        profile: board.profile,
     }
 }
 
@@ -1466,9 +1316,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "254 clients exceed the limit of 253 clients in 10.0.0.0/24")]
+    #[should_panic(expected = "255 clients exceed the limit of 254 clients in 10.0.2.0/24")]
     fn refuses_a_client_past_the_subnet() {
-        let clients = vec![GuestClient::secure(&[], b""); 254];
+        let clients = vec![GuestClient::secure(&[], b""); 255];
         let opts = dcc::Options::firmware();
         secure_serve(Engine::Interpreter, opts, b"", &clients, None, false);
     }
@@ -1493,6 +1343,6 @@ mod tests {
         assert_eq!(r.conns[0].alerts, 0);
         assert_eq!(r.accepts, 1);
         assert_eq!(r.open, 0, "teardown closed the handle");
-        assert!(r.snapshot.contains("issl.guest.handshakes"));
+        assert!(r.snapshot.contains("board0.issl.guest.handshakes"));
     }
 }

@@ -37,7 +37,7 @@ fn spec(engine: Engine, orders: Vec<Vec<usize>>) -> FleetSpec {
         .collect();
     let mut spec = FleetSpec::new(engine, BOARDS, b"", clients);
     spec.firmware = FleetFirmware::PlainEcho;
-    spec.policy = LbPolicy::LeastOpen;
+    spec.policy = Some(LbPolicy::LeastOpen);
     spec.probe_gap_us = Some(700);
     spec.orders = orders;
     spec

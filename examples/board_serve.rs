@@ -1,6 +1,7 @@
 //! E13: three concurrent TCP connections served by dcc-compiled C
 //! firmware — the full C → compiler → board → network pipeline, with a
 //! serial status console running at higher interrupt priority alongside.
+//! One board, every client linked straight to it (no balancer).
 //!
 //! Runs the workload under both execution engines, prints the
 //! EXPERIMENTS.md §E13 table, asserts engine byte-identity, and writes
@@ -13,7 +14,7 @@ use std::time::Instant;
 
 use rabbit::Engine;
 use rmc2000::nic::CYCLES_PER_US;
-use rmc2000::serve::{serve_clients, ServeRun};
+use rmc2000::{fleet_serve, FleetFirmware, FleetRun, FleetSpec, GuestClient};
 
 /// The E13 workload: three clients, four messages each, staggered sizes.
 fn workload() -> Vec<Vec<Vec<u8>>> {
@@ -31,7 +32,7 @@ fn workload() -> Vec<Vec<Vec<u8>>> {
 
 struct Measured {
     name: &'static str,
-    run: ServeRun,
+    run: FleetRun,
     wall_ms: f64,
 }
 
@@ -51,19 +52,30 @@ fn main() {
         ("interpreter", Engine::Interpreter),
         ("block_cache", Engine::BlockCache),
     ] {
+        let guests = clients
+            .iter()
+            .map(|messages| GuestClient::Plain {
+                messages: messages.clone(),
+            })
+            .collect();
+        let mut spec = FleetSpec::new(engine, 1, b"", guests);
+        spec.policy = None;
+        spec.firmware = FleetFirmware::PlainEcho;
+        spec.probe_gap_us = Some(500);
         let t0 = Instant::now();
-        let run = serve_clients(engine, dcc::Options::firmware(), &clients, Some(500));
+        let run = fleet_serve(&spec);
         let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        for (i, (sent, got)) in clients.iter().zip(&run.transcripts).enumerate() {
-            assert_eq!(&sent.concat(), got, "client {i} transcript");
+        for (i, (sent, got)) in clients.iter().zip(&run.outcomes).enumerate() {
+            assert_eq!(sent.concat(), got.echoed, "client {i} transcript");
         }
-        assert_eq!(run.peak_open, 3, "all three handles in use at peak");
+        let board = &run.boards[0];
+        assert_eq!(board.peak_open, 3, "all three handles in use at peak");
         println!(
             "{:<12} {:>14} {:>12.2} {:>12.1} {:>13.1} {:>10.1}",
             name,
-            run.cycles,
+            board.cycles,
             run.virtual_us as f64 / 1_000.0,
-            run.cycles as f64 / payload as f64,
+            board.cycles as f64 / payload as f64,
             sessions as f64 / (run.virtual_us as f64 / 1_000_000.0),
             wall_ms,
         );
@@ -72,16 +84,17 @@ fn main() {
 
     let a = &measured[0].run;
     let b = &measured[1].run;
-    assert_eq!(a.transcripts, b.transcripts, "transcripts agree");
-    assert_eq!(a.cycles, b.cycles, "cycle counts agree");
-    assert_eq!(a.serial_tx, b.serial_tx, "console output agrees");
+    let (ab, bb) = (&a.boards[0], &b.boards[0]);
+    assert_eq!(a.outcomes, b.outcomes, "transcripts agree");
+    assert_eq!(ab.cycles, bb.cycles, "cycle counts agree");
+    assert_eq!(ab.serial_tx, bb.serial_tx, "console output agrees");
     assert_eq!(a.snapshot, b.snapshot, "telemetry agrees");
     println!("\nengines byte-identical: transcripts, cycles, console, telemetry ✓");
     println!(
         "firmware: {} bytes of root code, {} guest accepts, console wrote {} status lines",
         a.code_size,
-        a.guest_accepts,
-        a.serial_tx.len() / 3,
+        ab.accepts,
+        ab.serial_tx.len() / 3,
     );
 
     let json = render_json(sessions, payload, &measured);
@@ -101,10 +114,11 @@ fn render_json(sessions: usize, payload: usize, measured: &[Measured]) -> String
     s.push_str("  \"engines\": [\n");
     for (i, m) in measured.iter().enumerate() {
         let r = &m.run;
+        let b = &r.boards[0];
         s.push_str("    {\n");
         s.push_str(&format!("      \"engine\": \"{}\",\n", m.name));
-        s.push_str(&format!("      \"guest_cycles\": {},\n", r.cycles));
-        s.push_str(&format!("      \"guest_instructions\": {},\n", r.instructions));
+        s.push_str(&format!("      \"guest_cycles\": {},\n", b.cycles));
+        s.push_str(&format!("      \"guest_instructions\": {},\n", b.instructions));
         s.push_str(&format!("      \"virtual_us\": {},\n", r.virtual_us));
         s.push_str(&format!(
             "      \"sessions_per_sec\": {:.1},\n",
@@ -112,10 +126,10 @@ fn render_json(sessions: usize, payload: usize, measured: &[Measured]) -> String
         ));
         s.push_str(&format!(
             "      \"cycles_per_byte\": {:.1},\n",
-            r.cycles as f64 / payload as f64
+            b.cycles as f64 / payload as f64
         ));
-        s.push_str(&format!("      \"peak_open\": {},\n", r.peak_open));
-        s.push_str(&format!("      \"guest_accepts\": {},\n", r.guest_accepts));
+        s.push_str(&format!("      \"peak_open\": {},\n", b.peak_open));
+        s.push_str(&format!("      \"guest_accepts\": {},\n", b.accepts));
         s.push_str(&format!("      \"code_size\": {},\n", r.code_size));
         s.push_str(&format!("      \"wall_clock_ms\": {:.1}\n", m.wall_ms));
         s.push_str(if i + 1 < measured.len() { "    },\n" } else { "    }\n" });

@@ -48,16 +48,16 @@ fn engines_agree_byte_for_byte() {
 fn nic_counters_reach_the_world_registry() {
     let EchoRun { snapshot, .. } = run_echo(Engine::BlockCache, &messages());
     for name in [
-        "net.board.rx_frames",
-        "net.board.rx_bytes",
-        "net.board.tx_frames",
-        "net.board.tx_bytes",
-        "net.board.irqs",
+        "board0.net.board.rx_frames",
+        "board0.net.board.rx_bytes",
+        "board0.net.board.tx_frames",
+        "board0.net.board.tx_bytes",
+        "board0.net.board.irqs",
         // The board's idle-scheduler counters land in the same registry,
         // so `engines_agree_byte_for_byte`'s snapshot comparison covers
         // them too.
-        "board.idle_cycles",
-        "board.skip_batches",
+        "board0.board.idle_cycles",
+        "board0.board.skip_batches",
     ] {
         assert!(
             snapshot.contains(name),

@@ -99,11 +99,14 @@ fn mixed_load_serves_secure_and_plain_with_serial_probes() {
         max_open = max_open.max(line[1] - b'0');
     }
     assert!(max_open >= 2, "overlapping sessions visible on the console");
+    assert_eq!(run.peak_open, 3, "all three sessions overlapped on the NIC");
 
     // The driver publishes the guest's books into the shared registry.
-    assert!(run.snapshot.contains("issl.guest.handshakes{conn=\"0\"} 1"));
-    assert!(run.snapshot.contains("issl.guest.records.in"));
-    assert!(run.snapshot.contains("net.board.conn.accepts"));
+    assert!(run
+        .snapshot
+        .contains("board0.issl.guest.handshakes{conn=\"0\"} 1"));
+    assert!(run.snapshot.contains("board0.issl.guest.records.in"));
+    assert!(run.snapshot.contains("board0.net.board.conn.accepts"));
 }
 
 /// The secure channel's determinism bar: every observable of the mixed
@@ -122,6 +125,7 @@ fn engines_agree_byte_for_byte() {
     assert_eq!(a.conns, b.conns, "guest counters agree");
     assert_eq!(a.accepts, b.accepts);
     assert_eq!(a.open, b.open);
+    assert_eq!(a.peak_open, b.peak_open);
     assert_eq!(a.serial_tx, b.serial_tx, "console output agrees");
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
     assert_eq!(a.echoed_bytes, b.echoed_bytes);

@@ -26,38 +26,44 @@ fn three_handlers_cap_concurrency_at_three() {
 /// The same three-connection cap, but on the *guest NIC path*: compiled
 /// C firmware on the simulated board, where the limit is enforced by the
 /// NIC register file's three connection handles rather than by
-/// costatement count. Five clients dial in; the fourth and fifth wait in
-/// the listen backlog until an earlier client hangs up and frees a
-/// handle, and everyone is served eventually.
+/// costatement count. Five clients dial the board directly (no
+/// balancer); the fourth and fifth wait in the board's listen backlog
+/// until an earlier client hangs up and frees a handle, and everyone is
+/// served eventually.
 #[test]
 fn guest_nic_path_holds_fourth_connection_at_the_register_file() {
     use rabbit::Engine;
-    use rmc2000::serve::serve_clients;
+    use rmc2000::{fleet_serve, FleetFirmware, FleetSpec, GuestClient};
 
-    let clients: Vec<Vec<Vec<u8>>> = (0..5)
-        .map(|i| vec![vec![0x40 + i as u8; 120 + 10 * i]])
+    let payloads: Vec<Vec<u8>> = (0..5).map(|i| vec![0x40 + i as u8; 120 + 10 * i]).collect();
+    let clients = payloads
+        .iter()
+        .map(|p| GuestClient::Plain {
+            messages: vec![p.clone()],
+        })
         .collect();
-    let r = serve_clients(
-        Engine::BlockCache,
-        dcc::Options::all_optimizations(),
-        &clients,
-        None,
-    );
-    for (i, (sent, got)) in clients.iter().zip(&r.transcripts).enumerate() {
-        assert_eq!(&sent.concat(), got, "client {i} served eventually");
+    let mut spec = FleetSpec::new(Engine::BlockCache, 1, b"", clients);
+    spec.opts = dcc::Options::all_optimizations();
+    spec.policy = None;
+    spec.firmware = FleetFirmware::PlainEcho;
+    let r = fleet_serve(&spec);
+    for (i, (sent, got)) in payloads.iter().zip(&r.outcomes).enumerate() {
+        assert_eq!(sent, &got.echoed, "client {i} served eventually");
     }
+    assert!(r.backends.is_empty(), "no balancer holds anyone off");
+    let b = &r.boards[0];
     assert!(
-        r.peak_open <= 3,
+        b.peak_open <= 3,
         "the register file never binds more than three handles, saw {}",
-        r.peak_open
+        b.peak_open
     );
     assert!(
-        r.peak_open >= 2,
+        b.peak_open >= 2,
         "the offered load did overlap, saw {}",
-        r.peak_open
+        b.peak_open
     );
-    assert_eq!(r.guest_accepts, 5, "all five connections accepted in turn");
-    assert_eq!(r.guest_open, 0, "teardown freed every handle");
+    assert_eq!(b.accepts, 5, "all five connections accepted in turn");
+    assert_eq!(b.open, 0, "teardown freed every handle");
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn handcrafted_unsupported_suite_hello_is_refused() {
 #[test]
 fn link_layer_corruption_draws_the_same_alert_as_host_tamper() {
     use netsim::Corruption;
-    use rmc2000::{fleet_faults, FaultPlan, FleetSpec};
+    use rmc2000::{fleet_serve, FaultPlan, FleetSpec};
 
     let mk = |engine: Engine| {
         let clients = vec![GuestClient::Secure {
@@ -167,8 +167,8 @@ fn link_layer_corruption_draws_the_same_alert_as_host_tamper() {
         );
         spec
     };
-    let a = fleet_faults(&mk(Engine::Interpreter));
-    let b = fleet_faults(&mk(Engine::BlockCache));
+    let a = fleet_serve(&mk(Engine::Interpreter));
+    let b = fleet_serve(&mk(Engine::BlockCache));
     assert_eq!(a.outcomes, b.outcomes, "client outcomes agree");
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
     assert_eq!(a.virtual_us, b.virtual_us, "virtual time agrees");
