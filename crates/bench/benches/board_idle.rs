@@ -10,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rabbit::Engine;
-use rmc2000::echo::{run_echo_paced, IdleMode};
+use rmc2000::echo::run_echo;
+use rmc2000::IdleMode;
 
 /// Client think time between requests, in virtual µs (same as
 /// `examples/board_idle.rs`).
@@ -30,10 +31,10 @@ fn bench_board_idle(c: &mut Criterion) {
     let mut group = c.benchmark_group("board_idle");
     group.sample_size(10);
     group.bench_function("stepwise", |b| {
-        b.iter(|| run_echo_paced(Engine::BlockCache, &msgs, IdleMode::Stepwise, THINK_US));
+        b.iter(|| run_echo(Engine::BlockCache, &msgs, IdleMode::Stepwise, THINK_US));
     });
     group.bench_function("fast_forward", |b| {
-        b.iter(|| run_echo_paced(Engine::BlockCache, &msgs, IdleMode::FastForward, THINK_US));
+        b.iter(|| run_echo(Engine::BlockCache, &msgs, IdleMode::FastForward, THINK_US));
     });
     group.finish();
 }

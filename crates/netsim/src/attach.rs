@@ -12,16 +12,10 @@
 //! inherited ([`World::run_for`] is granularity-independent, so time may
 //! advance in whatever increments the clock owner produces).
 //!
-//! # Time ownership
-//!
-//! A `SimHost` *can* advance the shared clock ([`SimHost::advance`]), but
-//! whether it *may* is a contract decided by whoever assembles the world:
-//! exactly one party owns time. A solo board following the legacy
-//! one-board contract drives the clock through its NIC; in a multi-board
-//! fleet the `rmc2000::fleet` scheduler owns the clock exclusively and
-//! every attached host is a passive participant that only reads `now` and
-//! moves bytes (see the fleet module's docs for why the NIC-driven
-//! contract cannot scale past one board).
+//! A `SimHost` cannot move the clock: it reads `now` and moves bytes.
+//! Time belongs to whoever holds the [`World`] itself — for boards, the
+//! `rmc2000::fleet` scheduler (see the fleet module's docs for why a
+//! device-driven clock cannot scale past one board).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -70,11 +64,6 @@ impl SimHost {
     /// Current virtual time in microseconds.
     pub fn now(&self) -> u64 {
         self.world.borrow().now()
-    }
-
-    /// Advances virtual time by `us` microseconds.
-    pub fn advance(&mut self, us: u64) {
-        self.world.borrow_mut().run_for(us);
     }
 
     /// Registers (or fetches) a counter in the world's telemetry registry.
@@ -182,7 +171,7 @@ mod tests {
         let c = b.connect(Endpoint::new(a.ip(), 7));
         let mut server = None;
         for _ in 0..100 {
-            a.advance(1_000);
+            world.borrow_mut().run_for(1_000);
             if server.is_none() {
                 server = a.accept(l);
             }
@@ -195,7 +184,7 @@ mod tests {
 
         assert_eq!(b.send(c, b"ping"), 4);
         for _ in 0..100 {
-            b.advance(1_000);
+            world.borrow_mut().run_for(1_000);
             if a.available(server) >= 4 {
                 break;
             }

@@ -258,8 +258,8 @@ impl Board {
     ///
     /// Execution goes through [`Board::engine`] (the block-caching engine
     /// by default); waiting in `halt` for an interrupt goes through the
-    /// event-horizon scheduler ([`Board::halted_advance`]), which is
-    /// engine-independent by construction.
+    /// event-horizon scheduler (the same batched halted step as
+    /// [`Board::idle`]), which is engine-independent by construction.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let start = self.cpu.cycles;
         loop {
@@ -292,10 +292,9 @@ impl Board {
         }
     }
 
-    /// Lets a halted CPU sleep for up to `max_cycles` while peripherals —
-    /// and the NIC's netsim world — keep advancing, waking on the first
-    /// dispatchable interrupt. Returns true when an interrupt woke the
-    /// CPU.
+    /// Lets a halted CPU sleep for up to `max_cycles` while peripherals
+    /// keep advancing, waking on the first dispatchable interrupt.
+    /// Returns true when an interrupt woke the CPU.
     ///
     /// Time moves through the event-horizon scheduler: whole stretches of
     /// halted time are skipped in one batch per device deadline instead
@@ -315,7 +314,9 @@ impl Board {
     /// The pre-batching idle loop: burns halted time 2 cycles at a step
     /// through [`rabbit::Cpu::step`]. Kept as the reference
     /// implementation the differential tests compare [`Board::idle`]
-    /// against — and as the measured "before" of the E12 experiment.
+    /// against — and as the measured "before" of the E12 experiment. Like
+    /// [`Board::idle`], it returns with device time exact: the last step
+    /// is not left deferred by the bus's tick quantum.
     pub fn idle_stepwise(&mut self, max_cycles: u64) -> bool {
         let start = self.cpu.cycles;
         while self.cpu.halted && self.cpu.cycles - start < max_cycles {
@@ -328,6 +329,7 @@ impl Board {
                     .add(self.cpu.cycles - cycles_before);
             }
         }
+        self.bus.advance(0);
         !self.cpu.halted
     }
 
@@ -344,7 +346,7 @@ impl Board {
     /// where the batch stops. Deadlines are lower bounds, so the batch
     /// never jumps past an interrupt raise; the bus still ticks devices
     /// through every intermediate poll boundary inside the batch, so
-    /// device-side work (world advance, frame delivery) happens at the
+    /// device-side work (NIC polls, frame delivery) happens at the
     /// same virtual times as before.
     fn halted_advance(&mut self, budget: u64) {
         debug_assert!(self.cpu.halted, "halted_advance on a running CPU");

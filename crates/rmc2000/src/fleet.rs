@@ -1,16 +1,12 @@
 //! Fleet scheduler: N boards, one deterministic world, one clock owner.
 //!
-//! A bare board's NIC backend can drag the shared [`World`] clock
-//! forward ([`crate::nic::ClockMode::Follow`]): whenever the board's
-//! local cycle count crosses a poll boundary, the backend calls
-//! `run_for` on the world. That contract cannot scale past one
-//! board — with two boards each dragging the clock, whoever polls first
-//! advances time under the other's feet, and every observable becomes a
-//! function of host-side iteration order. This module lifts time
-//! ownership out of the NIC: the [`Fleet`] scheduler is the only party
-//! that advances the world, and every board's backend is a passive
-//! participant ([`crate::nic::ClockMode::Passive`]) that just reads
-//! `now` and moves bytes.
+//! The [`Fleet`] scheduler is the only code that advances a [`World`]
+//! with a board in it. Every board's NIC backend is a passive
+//! participant: it turns executed cycles into its own local clock, reads
+//! `now` and moves bytes, but never calls `run_for`. If a NIC dragged the
+//! shared clock along, then with two boards whoever polled first would
+//! advance time under the other's feet, and every observable would become
+//! a function of host-side iteration order.
 //!
 //! # The epoch barrier
 //!
@@ -20,8 +16,14 @@
 //!
 //! 1. the world runs `(T-50, T]` first — every in-flight segment due in
 //!    the window is delivered before any board looks;
-//! 2. each board then executes its own `(T-50, T]` cycle slice; its NIC
-//!    poll at the epoch boundary observes the world at exactly `T`.
+//! 2. each board then executes its own `(T-50, T]` cycle slice.
+//!
+//! A slice that ends halted leaves device time exact ([`Board::idle`]
+//! and [`Board::idle_stepwise`] end with a bus flush), so its NIC poll at
+//! the boundary observes the world at exactly `T`. A slice that ends busy
+//! (`RunOutcome::BudgetExhausted`) can leave the last NIC tick deferred
+//! by the bus's tick quantum: the poll due at `T` then runs in the next
+//! slice, after the world has already reached `T + 50`.
 //!
 //! Within an epoch the boards touch disjoint state (their own sockets,
 //! their own memories), and every send a board performs is stamped at
@@ -39,7 +41,9 @@
 //! ([`rabbit::Bus::next_deadline`], the E12 event-horizon hook) — the
 //! fleet-level analogue of [`crate::Board::idle`]'s batched halted time.
 //! The skip decision is a function of barrier state only, so it too is
-//! visit-order- and engine-invariant.
+//! visit-order- and engine-invariant. An [`IdleMode::Stepwise`] fleet is
+//! the reference for both batchings: every epoch runs, and halted time
+//! drips 2 cycles per step.
 //!
 //! # Topologies
 //!
@@ -48,9 +52,8 @@
 //! load balancer in front of the boards; with `None` the fleet is one
 //! board and every client is linked straight to it, so clients beyond
 //! its connection handles wait in the board's listen backlog — the
-//! paper's single-board service (§5.3). Both run on this scheduler.
-//! Only the bare-board harnesses ([`crate::echo`]) still let the NIC
-//! drag the clock.
+//! paper's single-board service (§5.3). Both run on this scheduler, and
+//! so does the E11/E12 echo session ([`crate::echo`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -104,21 +107,40 @@ struct Slot {
     state: BoardState,
 }
 
+/// How a [`Fleet`] burns the halted part of each board's slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdleMode {
+    /// Event-horizon batches ([`Board::idle`]) plus fleet-wide
+    /// [`Fleet::fast_forward`] — the default.
+    FastForward,
+    /// The 2-cycles-per-step reference drip ([`Board::idle_stepwise`]),
+    /// with fast-forward off: the measured "before" of the E12 experiment
+    /// and the oracle of the idle differential tests.
+    Stepwise,
+}
+
 /// A set of boards sharing one [`World`], advanced in deterministic
 /// lockstep by the single clock owner.
 pub struct Fleet {
     world: Rc<RefCell<World>>,
     slots: Vec<Slot>,
     epochs: u64,
+    idle: IdleMode,
 }
 
 impl Fleet {
-    /// An empty fleet over `world`.
+    /// An empty fleet over `world`, idling by fast-forward.
     pub fn new(world: &Rc<RefCell<World>>) -> Fleet {
+        Fleet::with_idle(world, IdleMode::FastForward)
+    }
+
+    /// An empty fleet over `world` that burns halted time as `idle` says.
+    pub fn with_idle(world: &Rc<RefCell<World>>, idle: IdleMode) -> Fleet {
         Fleet {
             world: Rc::clone(world),
             slots: Vec::new(),
             epochs: 0,
+            idle,
         }
     }
 
@@ -251,6 +273,7 @@ impl Fleet {
     /// outright: its target does not advance, so no catch-up debt
     /// accrues while frozen.
     fn advance_slot(&mut self, i: usize) {
+        let idle = self.idle;
         let slot = &mut self.slots[i];
         if slot.state == BoardState::Wedged {
             return;
@@ -262,10 +285,13 @@ impl Fleet {
                 RunOutcome::Halted => {
                     // `run` returns Halted without consuming the budget
                     // when the CPU is already parked; burn the remainder
-                    // as batched halted time.
+                    // as halted time.
                     let left = slot.target.saturating_sub(slot.board.cpu.cycles);
                     if left > 0 {
-                        slot.board.idle(left);
+                        match idle {
+                            IdleMode::FastForward => slot.board.idle(left),
+                            IdleMode::Stepwise => slot.board.idle_stepwise(left),
+                        };
                     }
                 }
                 RunOutcome::BudgetExhausted => {}
@@ -278,9 +304,14 @@ impl Fleet {
     /// one batch. Applies only when every board is parked, and is
     /// bounded by the world's next scheduled event and every board's
     /// soonest device deadline, so nothing observable lands inside the
-    /// skipped window. Returns the number of epochs skipped.
+    /// skipped window. Returns the number of epochs skipped — always 0 on
+    /// an [`IdleMode::Stepwise`] fleet.
     pub fn fast_forward(&mut self, max_epochs: u64) -> u64 {
-        if max_epochs == 0 || self.slots.is_empty() || !self.all_parked() {
+        if self.idle == IdleMode::Stepwise
+            || max_epochs == 0
+            || self.slots.is_empty()
+            || !self.all_parked()
+        {
             return 0;
         }
         let mut k = max_epochs;
@@ -320,6 +351,28 @@ impl Fleet {
         }
         self.epochs += k;
         k
+    }
+
+    /// The panic message for a run that gave up on this fleet: `what`,
+    /// the epoch and virtual time it gave up at, one line per unfinished
+    /// client (`clients`), then every board's PC, halted/parked state and
+    /// open NIC handles.
+    pub(crate) fn stall_report(&mut self, what: &str, clients: &[String]) -> String {
+        let (epoch, now) = (self.epochs, self.world.borrow().now());
+        let mut lines = vec![format!("{what} at epoch {epoch} ({now} virtual µs)")];
+        lines.extend_from_slice(clients);
+        for i in 0..self.slots.len() {
+            let parked = self.parked(i);
+            let s = &self.slots[i];
+            lines.push(format!(
+                "board{i} ({:?}): pc={:#06x}, halted={}, parked={parked}, {} open handles",
+                s.state,
+                s.board.cpu.regs.pc,
+                s.board.cpu.halted,
+                s.board.nic().map_or(0, Nic::open_handles)
+            ));
+        }
+        lines.join("\n  ")
     }
 }
 
@@ -832,7 +885,10 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         if run.fleet.all_parked() {
             break;
         }
-        assert!(run.fleet.epochs() < 2_000, "fleet firmware boots");
+        if run.fleet.epochs() >= 2_000 {
+            let report = run.fleet.stall_report("fleet firmware did not boot", &[]);
+            panic!("{report}");
+        }
     }
 
     // Clients dial the front end at their scheduled times (everyone
@@ -873,10 +929,18 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         if state.iter().all(|s| s.done) {
             break;
         }
-        assert!(
-            run.fleet.epochs() < MAX_EPOCHS,
-            "fleet serve session did not converge"
-        );
+        if run.fleet.epochs() >= MAX_EPOCHS {
+            let clients: Vec<String> = state
+                .iter()
+                .enumerate()
+                .filter(|(_, st)| !st.done)
+                .map(|(i, st)| st.describe(i))
+                .collect();
+            let report = run
+                .fleet
+                .stall_report("fleet serve session did not converge", &clients);
+            panic!("{report}");
+        }
         run.epoch();
 
         if let Some(gap) = spec.probe_gap_us {
@@ -1152,6 +1216,21 @@ mod tests {
     fn fleet_serve_refuses_balancer_timeouts_without_a_balancer() {
         let mut spec = direct(1);
         spec.lb_stall_timeout_us = Some(2_000_000);
+        fleet_serve(&spec);
+    }
+
+    /// A raw client whose lone byte `0x16` opens a handshake record and
+    /// never finishes its header: the guest waits for the rest, the
+    /// client for an answer, and `fleet_serve` gives up naming both.
+    #[test]
+    #[should_panic(
+        expected = "client 0 (raw): established=true, echoed 0/0 bytes, 1 raw bytes in, fin=false\n  board0 (Running): pc="
+    )]
+    fn a_stalled_session_reports_its_client_and_board() {
+        let mut spec = direct(1);
+        spec.clients = vec![GuestClient::Raw {
+            payload: vec![0x16],
+        }];
         fleet_serve(&spec);
     }
 

@@ -9,10 +9,12 @@
 //! `sockets::dynic` models the kit's TCP/IP *API* for host-compiled
 //! firmware logic, while this crate runs *guest instructions* against the
 //! simulated network — the [`nic::Nic`] device converts executed cycles
-//! to virtual microseconds, so the board and the `netsim` world share one
-//! deterministic clock. Assembled firmware (see [`firmware`]) serves real
-//! TCP traffic to `netsim` clients through `ioe`-mapped packet windows;
-//! [`echo::run_echo`] is the reference end-to-end session.
+//! to virtual microseconds, and the [`fleet::Fleet`] scheduler, the only
+//! code that advances a world with a board in it, keeps the boards and
+//! the `netsim` world on one deterministic clock. Assembled firmware (see
+//! [`firmware`]) serves real TCP traffic to `netsim` clients through
+//! `ioe`-mapped packet windows; [`echo::run_echo`] is the reference
+//! end-to-end session and [`fleet::fleet_serve`] the serving loop.
 //!
 //! ```
 //! use rmc2000::{Board, RunOutcome};
@@ -43,7 +45,7 @@ pub use board::{Board, BoardCounters, Rtc, RunOutcome};
 pub use faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledFault};
 pub use fleet::{
     fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
-    LbPolicy, EPOCH_CYCLES, EPOCH_US,
+    IdleMode, LbPolicy, EPOCH_CYCLES, EPOCH_US,
 };
 pub use nic::{Nic, NicBackend, NicCounters, SimBackend, NIC_VECTOR};
 pub use secure::{

@@ -9,12 +9,11 @@
 //! exchanges through the rings are TCP payload chunks. Guest cycles drive
 //! the backend's *local* clock — [`Nic::tick`] converts CPU cycles to
 //! microseconds at [`CYCLES_PER_US`] (the repo-wide 30 MHz board clock).
-//! Whether that local clock also drags the shared `netsim` world along is
-//! the [`ClockMode`] contract: a bare board alone in its world drags the
-//! clock ([`ClockMode::Follow`]), while fleet boards are passive
-//! participants whose world is advanced only by the `rmc2000::fleet`
-//! scheduler — either way instruction execution and packet delivery
-//! share one deterministic timeline.
+//! That local clock never moves the shared `netsim` world: the backend is
+//! a passive participant, and only the [`crate::fleet`] scheduler
+//! advances world time, at epoch barriers that coincide with the NIC's
+//! poll boundaries — so instruction execution and packet delivery share
+//! one deterministic timeline.
 //!
 //! # Connection handles
 //!
@@ -46,7 +45,7 @@
 //!
 //! The bus delivers exact cycle totals at every `ioi`/`ioe` access (which
 //! are barriers in the block-caching engine), but the two engines tick in
-//! different chunkings. The NIC therefore advances the world and polls
+//! different chunkings. The NIC therefore advances its backend and polls
 //! for received data only at fixed virtual-time boundaries (every
 //! [`POLL_PERIOD_US`]); boundary crossings depend only on the cycle
 //! *total*, so frame chunking — and hence every guest-visible register —
@@ -268,33 +267,18 @@ impl Nic {
         }
     }
 
-    /// A NIC attached to a `netsim` host as the world's only board: the
-    /// backend's clock drives the world ([`ClockMode::Follow`]), and the
-    /// counters register as board 0's (`board0.net.board.*`).
-    pub fn simulated(host: SimHost) -> Nic {
-        let counters = {
-            let world = host.world();
-            let world = world.borrow();
-            NicCounters::register_board(world.telemetry(), 0)
-        };
-        Nic::with_counters(Box::new(SimBackend::new(host)), counters)
-    }
-
     /// A NIC attached to a `netsim` host as fleet board `idx`: the
-    /// backend is a passive world participant ([`ClockMode::Passive`] —
-    /// only the fleet scheduler advances time) and the counters register
-    /// under `board<idx>.net.board.*` so boards sharing one registry
-    /// never collide.
+    /// backend is a passive world participant (only the fleet scheduler
+    /// advances time) and the counters register under
+    /// `board<idx>.net.board.*` so boards sharing one registry never
+    /// collide.
     pub fn fleet_attached(host: SimHost, idx: usize) -> Nic {
         let counters = {
             let world = host.world();
             let world = world.borrow();
             NicCounters::register_board(world.telemetry(), idx)
         };
-        Nic::with_counters(
-            Box::new(SimBackend::with_mode(host, ClockMode::Passive)),
-            counters,
-        )
+        Nic::with_counters(Box::new(SimBackend::new(host)), counters)
     }
 
     /// The counters this NIC reports through.
@@ -574,32 +558,14 @@ struct SimConn {
     pending_tx: Vec<u8>,
 }
 
-/// Who advances the shared world's clock when this backend's board
-/// makes progress. The policy is chosen by whoever assembles the world —
-/// the backend itself only *reports* its local time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// The bare-board contract: the world's clock follows this board's
-    /// local clock exactly (every advance drags
-    /// [`netsim::World::run_for`] along). Only valid while this board is
-    /// the world's sole clock driver; the bare-board harnesses
-    /// ([`crate::echo`], sub-epoch run/idle tests) use it, every serving
-    /// run goes through [`crate::fleet`].
-    Follow,
-    /// A fleet participant: advances accumulate in the backend's local
-    /// clock only; the `rmc2000::fleet` scheduler owns the world's clock
-    /// and moves it at epoch boundaries.
-    Passive,
-}
-
 /// The production backend: a TCP-offload attachment to a `netsim` host
 /// (see [`SimHost`]). One listener, a handle table of up to
 /// [`MAX_CONNS`] concurrent connections; bytes a send buffer rejects are
-/// retried on the next poll. The backend never decides when world time
-/// moves — that is the [`ClockMode`] chosen at construction.
+/// retried on the next poll. The backend never moves world time: its
+/// `advance` only accumulates the board's local clock, and the
+/// [`crate::fleet`] scheduler owns the world's.
 pub struct SimBackend {
     host: SimHost,
-    mode: ClockMode,
     /// This board's local clock: microseconds of `advance` accumulated.
     local_us: u64,
     listener: Option<SocketId>,
@@ -611,17 +577,10 @@ pub struct SimBackend {
 const LISTEN_BACKLOG: usize = 8;
 
 impl SimBackend {
-    /// Wraps a host handle under the [`ClockMode::Follow`] contract
-    /// (this board drives the world's clock).
+    /// Wraps a host handle as a passive world participant.
     pub fn new(host: SimHost) -> SimBackend {
-        SimBackend::with_mode(host, ClockMode::Follow)
-    }
-
-    /// Wraps a host handle with an explicit clock-ownership policy.
-    pub fn with_mode(host: SimHost, mode: ClockMode) -> SimBackend {
         SimBackend {
             host,
-            mode,
             local_us: 0,
             listener: None,
             conns: (0..MAX_CONNS).map(|_| None).collect(),
@@ -641,25 +600,13 @@ impl SimBackend {
 impl NicBackend for SimBackend {
     fn advance(&mut self, us: u64) {
         self.local_us += us;
-        match self.mode {
-            ClockMode::Follow => {
-                // The world follows this board exactly.
-                let now = self.host.now();
-                if self.local_us > now {
-                    self.host.advance(self.local_us - now);
-                }
-            }
-            ClockMode::Passive => {
-                // The fleet scheduler owns the clock; debug builds check
-                // it kept its side of the contract (the world reaches a
-                // poll boundary before any board's local clock crosses
-                // it by a full period).
-                debug_assert!(
-                    self.local_us <= self.host.now() + POLL_PERIOD_US,
-                    "fleet scheduler fell behind board local clock"
-                );
-            }
-        }
+        // The fleet scheduler owns the clock; debug builds check it kept
+        // its side of the contract (the world reaches a poll boundary
+        // before any board's local clock crosses it by a full period).
+        debug_assert!(
+            self.local_us <= self.host.now() + POLL_PERIOD_US,
+            "fleet scheduler fell behind board local clock"
+        );
     }
 
     fn listen(&mut self, port: u16) -> bool {
@@ -758,10 +705,9 @@ impl NicBackend for SimBackend {
         // its next scheduled event (delivery, retransmit, timer) — a
         // lower bound on any observable poll. An empty event queue means
         // nothing will ever arrive until the guest transmits. The bound
-        // is relative to this board's *local* clock (identical to the
-        // world's under `ClockMode::Follow`; at most one epoch apart
-        // under the fleet scheduler, where the hint is only consulted at
-        // epoch boundaries with the clocks aligned).
+        // is relative to this board's *local* clock (at most one epoch
+        // apart from the world's; the fleet scheduler consults the hint
+        // only at epoch boundaries, with the clocks aligned).
         self.host
             .next_event_us()
             .map(|t| t.saturating_sub(self.local_us))

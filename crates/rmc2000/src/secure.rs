@@ -863,6 +863,27 @@ pub(crate) struct Cs {
     pub(crate) done: bool,
 }
 
+impl Cs {
+    /// Client `i`'s line in a stall report: what it is and how far it
+    /// got.
+    pub(crate) fn describe(&self, i: usize) -> String {
+        let kind = match self.mode {
+            Mode::Secure { .. } => "secure",
+            Mode::Plain { .. } => "plain",
+            Mode::Raw { .. } => "raw",
+            Mode::HangUp { .. } => "hang-up",
+        };
+        format!(
+            "client {i} ({kind}): established={}, echoed {}/{} bytes, {} raw bytes in, fin={}",
+            self.out.established,
+            self.out.echoed.len(),
+            self.expected,
+            self.out.raw_rx.len(),
+            self.fin
+        )
+    }
+}
+
 /// Whether `rx` starts with one complete record.
 fn record_complete(rx: &[u8]) -> bool {
     rx.len() >= recmap::HEADER_LEN

@@ -2,11 +2,11 @@
 //! `net.board.*`, its idle scheduler's `board.*`, the guest's
 //! `issl.guest.*` — is published only under its `board<i>.` namespace,
 //! whether the board runs alone on a direct link, behind the balancer,
-//! or bare in the reference echo harness.
+//! or alone in the reference echo harness.
 
 use rabbit::Engine;
 use rmc2000::echo::run_echo;
-use rmc2000::{fleet_serve, FleetSpec, GuestClient};
+use rmc2000::{fleet_serve, FleetSpec, GuestClient, IdleMode};
 
 /// The metric families a board owns.
 const BOARD_OWNED: [&str; 3] = ["net.board.", "board.", "issl.guest."];
@@ -69,7 +69,12 @@ fn balanced_run_publishes_only_board_names() {
 
 #[test]
 fn echo_harness_publishes_only_board0_names() {
-    let run = run_echo(Engine::BlockCache, &[b"naming".as_slice()]);
+    let run = run_echo(
+        Engine::BlockCache,
+        &[b"naming".as_slice()],
+        IdleMode::FastForward,
+        0,
+    );
     assert!(check(&run.snapshot, 1) > 0, "board counters present");
     assert!(run.snapshot.contains("board0.net.board.rx_frames"));
 }

@@ -3,18 +3,19 @@
 //! `RX_NEXT` on an empty queue, and an out-of-range `CONN` select are
 //! deterministic no-ops that latch [`STATUS_ERR`] — and every observable
 //! (recorded status bytes, error counters, cycle counts) is
-//! byte-identical across both execution engines.
+//! byte-identical across both execution engines. Each firmware boots on
+//! a one-board [`Fleet`] and runs until the board parks.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::{Ipv4, SimHost, World};
+use netsim::{Ipv4, World};
 use rabbit::{assemble, Engine};
 use rmc2000::nic::{
-    Nic, CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_LPORT_HI,
-    NIC_LPORT_LO, NIC_STATUS, STATUS_ERR,
+    CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_LPORT_HI, NIC_LPORT_LO,
+    NIC_STATUS, STATUS_ERR,
 };
-use rmc2000::{Board, RunOutcome};
+use rmc2000::Fleet;
 
 /// Where the firmware records the status byte observed after each step.
 const RECORD: u16 = 0x8200;
@@ -63,15 +64,25 @@ struct Outcome {
     snapshot: String,
 }
 
-fn run(engine: Engine) -> Outcome {
+/// Boots `src` on a one-board fleet and runs epochs until the board
+/// parks in its final `halt`.
+fn boot(engine: Engine, src: &str) -> (Rc<RefCell<World>>, Fleet) {
     let world = Rc::new(RefCell::new(World::new(42)));
-    let host = SimHost::attach(&world, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::simulated(host));
-    let image = assemble(&firmware()).expect("firmware assembles");
-    board.load(&image);
-    board.set_pc(0x4000);
-    assert_eq!(board.run(100_000), RunOutcome::Halted, "firmware halts");
+    let mut fleet = Fleet::new(&world);
+    let b = fleet.add_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
+    let image = assemble(src).expect("firmware assembles");
+    fleet.board_mut(b).load(&image);
+    fleet.board_mut(b).set_pc(0x4000);
+    while !fleet.all_parked() {
+        assert!(fleet.epochs() < 100, "firmware halts");
+        fleet.run_epoch(&[b]);
+    }
+    (world, fleet)
+}
+
+fn run(engine: Engine) -> Outcome {
+    let (world, fleet) = boot(engine, &firmware());
+    let board = fleet.board(0);
     let records = (0..6)
         .map(|i| board.mem.read_phys(rmc2000::load_phys(RECORD + i)))
         .collect();
@@ -118,15 +129,8 @@ fn successful_command_clears_a_previous_error() {
          \x20       ld ({RECORD:#06x}), a\n\
          \x20       halt\n"
     );
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let host = SimHost::attach(&world, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let mut board = Board::with_engine(Engine::Interpreter);
-    board.attach_nic(Nic::simulated(host));
-    let image = assemble(&src).expect("firmware assembles");
-    board.load(&image);
-    board.set_pc(0x4000);
-    assert_eq!(board.run(100_000), RunOutcome::Halted);
-    let status = board.mem.read_phys(rmc2000::load_phys(RECORD));
+    let (_, fleet) = boot(Engine::Interpreter, &src);
+    let status = fleet.board(0).mem.read_phys(rmc2000::load_phys(RECORD));
     assert_eq!(status & STATUS_ERR, 0, "status {status:#04x}");
 }
 

@@ -12,6 +12,7 @@ use std::time::Instant;
 use rabbit::Engine;
 use rmc2000::echo::{run_echo, EchoRun};
 use rmc2000::nic::CYCLES_PER_US;
+use rmc2000::IdleMode;
 
 fn main() {
     let msgs: Vec<&[u8]> = vec![
@@ -34,7 +35,7 @@ fn main() {
         ("block_cache", Engine::BlockCache),
     ] {
         let t0 = Instant::now();
-        let run = run_echo(engine, &msgs);
+        let run = run_echo(engine, &msgs, IdleMode::FastForward, 0);
         let wall = t0.elapsed();
         assert_eq!(run.echoed, msgs.concat(), "echo transcript intact");
         println!(

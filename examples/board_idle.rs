@@ -14,7 +14,8 @@
 use std::time::Instant;
 
 use rabbit::Engine;
-use rmc2000::echo::{run_echo_paced, EchoRun, IdleMode};
+use rmc2000::echo::{run_echo, EchoRun};
+use rmc2000::IdleMode;
 
 /// Client think time between requests, in virtual µs — what makes the
 /// session idle-heavy (the guest serves ~21k cycles per exchange and
@@ -55,7 +56,7 @@ fn main() {
             ("fast_forward", IdleMode::FastForward),
         ] {
             let t0 = Instant::now();
-            let run = run_echo_paced(engine, &msgs, mode, THINK_US);
+            let run = run_echo(engine, &msgs, mode, THINK_US);
             let wall = t0.elapsed().as_secs_f64();
             assert_eq!(run.echoed, msgs.concat(), "echo transcript intact");
             let idle_cycles = snapshot_counter(&run.snapshot, "board.idle_cycles");

@@ -1,11 +1,12 @@
-//! End-to-end guest firmware serving: assembled echo firmware on the
-//! `rmc2000::Board` answers TCP traffic from a host-side `netsim` client,
-//! and the whole session — transcript, guest cycles, virtual time,
-//! telemetry — is byte-identical under `Engine::Interpreter` and
-//! `Engine::BlockCache`.
+//! End-to-end guest firmware serving: assembled echo firmware on a
+//! one-board `rmc2000::Fleet` answers TCP traffic from a host-side
+//! `netsim` client, and the whole session — transcript, guest cycles,
+//! virtual time, telemetry — is byte-identical under `Engine::Interpreter`
+//! and `Engine::BlockCache`, and under both idle modes.
 
 use rabbit::Engine;
 use rmc2000::echo::{run_echo, EchoRun};
+use rmc2000::IdleMode;
 
 fn messages() -> Vec<&'static [u8]> {
     vec![
@@ -23,7 +24,7 @@ fn expected() -> Vec<u8> {
 
 #[test]
 fn guest_firmware_echoes_tcp_traffic() {
-    let run = run_echo(Engine::BlockCache, &messages());
+    let run = run_echo(Engine::BlockCache, &messages(), IdleMode::FastForward, 0);
     assert_eq!(run.echoed, expected(), "echo transcript");
     assert!(run.rx_frames > 0, "guest received frames");
     assert!(run.tx_frames > 0, "guest transmitted frames");
@@ -32,8 +33,8 @@ fn guest_firmware_echoes_tcp_traffic() {
 
 #[test]
 fn engines_agree_byte_for_byte() {
-    let interp = run_echo(Engine::Interpreter, &messages());
-    let block = run_echo(Engine::BlockCache, &messages());
+    let interp = run_echo(Engine::Interpreter, &messages(), IdleMode::FastForward, 0);
+    let block = run_echo(Engine::BlockCache, &messages(), IdleMode::FastForward, 0);
 
     assert_eq!(interp.echoed, expected(), "interpreter transcript");
     assert_eq!(block.echoed, expected(), "block-cache transcript");
@@ -45,8 +46,33 @@ fn engines_agree_byte_for_byte() {
 }
 
 #[test]
+fn idle_modes_agree_byte_for_byte() {
+    // The stepwise fleet runs every epoch and drips halted time 2 cycles
+    // per step; only its count of scheduler decisions may differ.
+    let observable = |s: &str| -> String {
+        s.lines()
+            .filter(|l| !l.contains("board.skip_batches"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for engine in [Engine::Interpreter, Engine::BlockCache] {
+        let fast = run_echo(engine, &messages(), IdleMode::FastForward, 0);
+        let step = run_echo(engine, &messages(), IdleMode::Stepwise, 0);
+        assert_eq!(fast.echoed, step.echoed, "{engine:?}: transcript");
+        assert_eq!(fast.cycles, step.cycles, "{engine:?}: guest cycles");
+        assert_eq!(fast.virtual_us, step.virtual_us, "{engine:?}: clock");
+        assert_eq!(
+            observable(&fast.snapshot),
+            observable(&step.snapshot),
+            "{engine:?}: telemetry"
+        );
+    }
+}
+
+#[test]
 fn nic_counters_reach_the_world_registry() {
-    let EchoRun { snapshot, .. } = run_echo(Engine::BlockCache, &messages());
+    let EchoRun { snapshot, .. } =
+        run_echo(Engine::BlockCache, &messages(), IdleMode::FastForward, 0);
     for name in [
         "board0.net.board.rx_frames",
         "board0.net.board.rx_bytes",
