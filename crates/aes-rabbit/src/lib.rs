@@ -8,6 +8,14 @@
 //! Both implementations are verified block-for-block against the
 //! host-grade [`crypto`] crate (which is itself pinned to FIPS-197).
 //!
+//! The crate also carries the two hand-assembly modules the secure
+//! firmware (`rmc2000::secure`) links behind `extern` declarations:
+//! [`aes128_linked_module`] and [`sha1_linked_module`], the latter
+//! beside its compiled-C counterpart [`sha1_c_source`] and a
+//! [`Sha1Rig`] that runs either on the simulator — the SHA-1 rung of the
+//! same C-versus-assembly ladder (about 196 k against 49 k cycles per
+//! 64-byte block).
+//!
 //! ```
 //! use aes_rabbit::{measure, Implementation};
 //!
@@ -24,6 +32,7 @@
 
 pub mod asm_impl;
 pub mod csource;
+pub mod sha1_asm;
 
 use rabbit::{assemble, Cpu, Engine, Memory, NullIo, ProfileReport, SymbolTable};
 
@@ -32,6 +41,10 @@ pub use asm_impl::{
     LINKED_DATA_ORG, LINKED_TABLES_ORG,
 };
 pub use csource::{aes128_c_decrypt_source, aes128_c_source};
+pub use sha1_asm::{
+    sha1_c_source, sha1_linked_module, Sha1Implementation, Sha1Rig, SHA1_HBUF_LEN,
+    SHA1_LINKED_CODE_ORG, SHA1_LINKED_DATA_ORG,
+};
 
 /// Which AES implementation to run.
 #[derive(Debug, Clone, PartialEq, Eq)]

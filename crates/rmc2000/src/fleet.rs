@@ -763,10 +763,10 @@ impl Barrier<'_> {
 /// The profiler's symbol table for `build`, without `dcc`'s generated
 /// branch labels (`L<n>_...`): they would fragment each C function's
 /// cycles across its basic blocks. Everything else stays — `_name` C
-/// functions and runtime helpers, and the AES module's named internals
-/// (`encrypt`, `subshift`, ...), so nearest-label-below resolution
-/// folds blocks into functions without hiding where the assembly spends
-/// its time.
+/// functions and runtime helpers, and the assembly modules' named
+/// internals (`encrypt`, `subshift`, `sha1_r0`, ...), so
+/// nearest-label-below resolution folds blocks into functions without
+/// hiding where the assembly spends its time.
 fn profile_symbols(build: &dcc::Build) -> SymbolTable {
     let local = |n: &str| {
         n.strip_prefix('L')
