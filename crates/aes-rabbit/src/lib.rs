@@ -42,8 +42,8 @@ pub use asm_impl::{
 };
 pub use csource::{aes128_c_decrypt_source, aes128_c_source};
 pub use sha1_asm::{
-    sha1_c_source, sha1_linked_module, Sha1Implementation, Sha1Rig, SHA1_HBUF_LEN,
-    SHA1_LINKED_CODE_ORG, SHA1_LINKED_DATA_ORG,
+    sha1_c_source, sha1_linked_module, Sha1Implementation, Sha1Machine, Sha1Rig, SHA1_HBUF_LEN,
+    SHA1_LINKED_CODE_ORG, SHA1_LINKED_DATA_ORG, SHA1_MIDSTATE_SLOTS,
 };
 
 /// Which AES implementation to run.

@@ -27,8 +27,14 @@
 //!   `ld a,h; rla; rl de; adc hl,hl`.
 //!
 //! The 80 rounds are four loops of 20, one per round function, not an
-//! unrolled sequence: the module stays near 600 assembler lines, which
+//! unrolled sequence: the module stays near 650 assembler lines, which
 //! keeps firmware builds fast.
+//!
+//! Beside the plain hash the module keeps a table of *midstates* — the
+//! 20-byte chaining state after one 64-byte block — so HMAC can hash each
+//! key's two pad blocks once per key instead of once per MAC (RFC 2104
+//! §4). `_sha1_save` fills a slot, `_sha1_resume` hashes a message as if
+//! it followed the slot's block; C code only ever names a slot number.
 
 use rabbit::Engine;
 
@@ -37,9 +43,17 @@ use crate::AesRabbitError;
 /// Code origin of the linkable SHA-1 module. Compiled C code must end
 /// below it; the AES module ([`crate::LINKED_CODE_ORG`]) starts above it.
 pub const SHA1_LINKED_CODE_ORG: u16 = 0x6800;
-/// Private data origin of the linkable SHA-1 module: root data between
-/// the compiled C's data and the AES workspace ([`crate::LINKED_DATA_ORG`]).
-pub const SHA1_LINKED_DATA_ORG: u16 = 0xC900;
+/// Private data origin of the linkable SHA-1 module (workspace, then the
+/// midstate table): root data between the compiled C's data and the AES
+/// workspace ([`crate::LINKED_DATA_ORG`]).
+pub const SHA1_LINKED_DATA_ORG: u16 = 0xC700;
+
+/// Slots in the module's midstate table, 20 bytes each. The secure
+/// firmware keys them as: 0/1 the PSK's inner/outer pads, 2/3 the session
+/// master key's, and `4 + 4h`/`6 + 4h` (inner, outer at `+ 1`) the client
+/// and server MAC keys of connection handle `h` — so the count follows
+/// [`rabbit::nicmap::MAX_CONNS`].
+pub const SHA1_MIDSTATE_SLOTS: usize = 4 + 4 * rabbit::nicmap::MAX_CONNS;
 
 /// Size of the `hbuf` the message is hashed in. Padding rounds
 /// the message plus 9 bytes up to whole 64-byte blocks, in place, so the
@@ -213,25 +227,38 @@ fn schedule() -> String {
     s
 }
 
-/// Generates the *linkable* SHA-1 module: one entry point, `_sha1_run`,
-/// that a `dcc`-compiled firmware declares `extern void sha1_run();`. Its
-/// contract is the compiled C's ([`sha1_c_source`]):
+/// Generates the *linkable* SHA-1 module: three entry points that a
+/// `dcc`-compiled firmware declares `extern void sha1_run();` (and
+/// likewise `sha1_save`, `sha1_resume`), over the C globals `char hbuf[]`,
+/// `int hlen`, `char dig[20]` and `int hslot`:
 ///
-/// * reads `char hbuf[]` and `int hlen` (at most
-///   [`SHA1_HBUF_LEN`]` - 9` bytes);
-/// * pads `hbuf` in place (`0x80`, zeros, the 64-bit bit length);
-/// * writes the digest to `char dig[20]`.
+/// * `_sha1_run` — the compiled C's contract ([`sha1_c_source`]): hashes
+///   `hbuf[0..hlen]` (at most [`SHA1_HBUF_LEN`]` - 9` bytes), padding it
+///   in place (`0x80`, zeros, the 64-bit bit length), and writes the
+///   digest to `dig`;
+/// * `_sha1_save` — hashes `hbuf[0..64]` as one unpadded block from the
+///   IV and stores the chaining state in midstate slot `hslot`; `dig` is
+///   left alone;
+/// * `_sha1_resume` — as `_sha1_run`, but starts from slot `hslot` instead
+///   of the IV and counts the slot's 64 bytes in the bit length, so
+///   `save(P)` then `resume(M)` writes `SHA-1(P ‖ M)`.
+///
+/// `hslot` must be below [`SHA1_MIDSTATE_SLOTS`]; the table is private to
+/// the module, so C code never reads or writes midstate bytes.
 ///
 /// Layout: code at [`SHA1_LINKED_CODE_ORG`], private workspace (hash
-/// state, the 80-word schedule, the 85-slot window) at
-/// [`SHA1_LINKED_DATA_ORG`]. The C globals must be root data (the
+/// state, the 80-word schedule, the 85-slot window, the midstate table)
+/// at [`SHA1_LINKED_DATA_ORG`]. The C globals must be root data (the
 /// firmware options keep `root_data` on). Every label contains `sha1`,
 /// so name-based profilers attribute the module's cycles to SHA-1.
 ///
-/// Interrupt safety: the routine uses A, BC, DE, HL, IX, IY, B' and the
-/// alternate AF. Compiled C never emits IX/IY, `exx` or `ex af,af'`, and
-/// ISR prologues save the main set, so a C interrupt handler may preempt
-/// the module — but must not *call back* into it.
+/// Interrupt safety: the routines use A, BC, DE, HL, IX, IY, B', the
+/// alternate AF and the caller's stack. Compiled C never emits IX/IY,
+/// `exx` or `ex af,af'`, and ISR prologues save the main set, so a C
+/// interrupt handler may preempt the module — but must not *call back*
+/// into it: the workspace and `hslot` are shared by all three entries.
+/// The secure firmware fills the PSK slots in `main` before it enables
+/// the NIC interrupt, and every later call comes from `nic_isr`.
 pub fn sha1_linked_module() -> String {
     let mut fin = String::new();
     for (word, off) in [0, b(0), c(0), d(0), e(0)].into_iter().enumerate() {
@@ -269,6 +296,25 @@ pub fn sha1_linked_module() -> String {
         "; SHA-1 linkable module (hand assembly)\n\
         \x20       org {code_org:#06x}\n\
          _sha1_run:\n\
+        \x20       ld hl, sha1_iv\n\
+        \x20       ld bc, 0\n\
+        \x20       jr sha1_pad\n\
+         _sha1_resume:\n\
+        \x20       call sha1_slot\n\
+        \x20       ld bc, 64\n\
+         ; ---- HL = chaining state to start from, BC = bytes it has hashed\n\
+         sha1_pad:\n\
+        \x20       push bc\n\
+        \x20       ld de, sha1_h\n\
+        \x20       ld bc, 20\n\
+        \x20       ldir\n\
+        \x20       pop bc\n\
+        \x20       ld hl, (_hlen)     ; bit count = (BC + hlen) * 8, 16 bits\n\
+        \x20       add hl, bc\n\
+        \x20       add hl, hl\n\
+        \x20       add hl, hl\n\
+        \x20       add hl, hl\n\
+        \x20       push hl\n\
          ; ---- pad hbuf[0..hlen]: 0x80, zeros, 64-bit big-endian bit count\n\
         \x20       ld hl, (_hlen)\n\
         \x20       ld de, _hbuf\n\
@@ -305,31 +351,49 @@ pub fn sha1_linked_module() -> String {
         \x20       ld l, e\n\
         \x20       ld (hl), 0\n\
         \x20       inc de\n\
-        \x20       ldir               ; zero hbuf[hlen+1 .. end)\n\
-        \x20       push hl\n\
-        \x20       ld hl, (_hlen)     ; A:HL = hlen * 8, into the last 3 bytes\n\
-        \x20       xor a\n\
-        \x20       add hl, hl\n\
-        \x20       rla\n\
-        \x20       add hl, hl\n\
-        \x20       rla\n\
-        \x20       add hl, hl\n\
-        \x20       rla\n\
-        \x20       ex de, hl\n\
-        \x20       pop hl\n\
+        \x20       ldir               ; zero hbuf[hlen+1 .. end), HL = end - 1\n\
+        \x20       pop de\n\
         \x20       ld (hl), e\n\
         \x20       dec hl\n\
         \x20       ld (hl), d\n\
-        \x20       dec hl\n\
-        \x20       ld (hl), a\n\
+        \x20       ld hl, _hbuf\n\
+        \x20       ld (sha1_p), hl\n\
+        \x20       call sha1_blocks\n\
+         ; ---- digest: the state words, big-endian -----------------------\n\
+         {digest}\
+        \x20       ret\n\
+         ; ---- hbuf[0..64] as one unpadded block from the IV, into slot hslot\n\
+         _sha1_save:\n\
         \x20       ld hl, sha1_iv\n\
         \x20       ld de, sha1_h\n\
         \x20       ld bc, 20\n\
         \x20       ldir\n\
         \x20       ld hl, _hbuf\n\
         \x20       ld (sha1_p), hl\n\
-         ; ---- one 64-byte block per pass --------------------------------\n\
-         sha1_blk:\n\
+        \x20       ld a, 1\n\
+        \x20       ld (sha1_nb), a\n\
+        \x20       call sha1_blocks\n\
+        \x20       call sha1_slot\n\
+        \x20       ex de, hl\n\
+        \x20       ld hl, sha1_h\n\
+        \x20       ld bc, 20\n\
+        \x20       ldir\n\
+        \x20       ret\n\
+         ; ---- HL = sha1_mid + 20 * hslot --------------------------------\n\
+         sha1_slot:\n\
+        \x20       ld hl, (_hslot)\n\
+        \x20       add hl, hl\n\
+        \x20       add hl, hl\n\
+        \x20       ld d, h\n\
+        \x20       ld e, l\n\
+        \x20       add hl, hl\n\
+        \x20       add hl, hl\n\
+        \x20       add hl, de\n\
+        \x20       ld de, sha1_mid\n\
+        \x20       add hl, de\n\
+        \x20       ret\n\
+         ; ---- sha1_nb 64-byte blocks from sha1_p into sha1_h, one per pass\n\
+         sha1_blocks:\n\
         \x20       ld hl, (sha1_p)\n\
         \x20       ld de, sha1_w\n\
         \x20       ld bc, 64\n\
@@ -366,20 +430,19 @@ pub fn sha1_linked_module() -> String {
         \x20       ld a, (sha1_nb)\n\
         \x20       dec a\n\
         \x20       ld (sha1_nb), a\n\
-        \x20       jp nz, sha1_blk\n\
-         ; ---- digest: the state words, big-endian -----------------------\n\
-         {digest}\
+        \x20       jp nz, sha1_blocks\n\
         \x20       ret\n\
          sha1_iv:\n\
         \x20       db {iv}\n\
          \n\
-         ; ---- private workspace (root data) -----------------------------\n\
+         ; ---- private workspace and midstate table (root data) -----------\n\
         \x20       org {data_org:#06x}\n\
          sha1_h:  ds 20\n\
          sha1_p:  dw 0\n\
          sha1_nb: db 0\n\
          sha1_w:  ds 320\n\
-         sha1_s:  ds {win}\n",
+         sha1_s:  ds {win}\n\
+         sha1_mid: ds {mid}\n",
         code_org = SHA1_LINKED_CODE_ORG,
         data_org = SHA1_LINKED_DATA_ORG,
         schedule = schedule(),
@@ -394,6 +457,7 @@ pub fn sha1_linked_module() -> String {
         r3 = round_group(3),
         iv = iv.join(", "),
         win = SLOTS * SLOT,
+        mid = SHA1_MIDSTATE_SLOTS * 20,
     )
 }
 
@@ -530,14 +594,16 @@ pub enum Sha1Implementation {
     LinkedAsm,
 }
 
-/// One SHA-1 implementation built under a bare `main` that calls
-/// `sha1_run()` once, ready to hash messages on either engine.
+/// One SHA-1 implementation built under a bare `main`, ready to hash
+/// messages on either engine. The compiled C's `main` calls `sha1_run()`
+/// once; the module's calls the entry its `mode` global names, which
+/// also reaches `sha1_save` and `sha1_resume` (see [`Sha1Machine`]).
 #[derive(Debug, Clone)]
 pub struct Sha1Rig {
     build: dcc::Build,
 }
 
-/// Cycle budget of one [`Sha1Rig::hash`] run.
+/// Cycle budget of one [`Sha1Machine`] call.
 const SHA1_MAX_CYCLES: u64 = 100_000_000;
 
 impl Sha1Rig {
@@ -547,15 +613,24 @@ impl Sha1Rig {
     ///
     /// [`AesRabbitError::Build`] when compiling or linking fails.
     pub fn new(imp: Sha1Implementation) -> Result<Sha1Rig, AesRabbitError> {
-        let main = "int main() {\n    sha1_run();\n    return 0;\n}\n";
         let build = match imp {
-            Sha1Implementation::CompiledC(opts) => {
-                dcc::build(&format!("{}{main}", sha1_c_source()), opts)
-            }
+            Sha1Implementation::CompiledC(opts) => dcc::build(
+                &format!(
+                    "{}int mode;\nint main() {{\n    sha1_run();\n    return 0;\n}}\n",
+                    sha1_c_source()
+                ),
+                opts,
+            ),
             Sha1Implementation::LinkedAsm => dcc::build_firmware_linked(
                 &format!(
-                    "char hbuf[{SHA1_HBUF_LEN}];\nint hlen;\nchar dig[20];\n\
-                     extern void sha1_run();\n{main}"
+                    "char hbuf[{SHA1_HBUF_LEN}];\nint hlen;\nchar dig[20];\nint hslot;\nint mode;\n\
+                     extern void sha1_run();\nextern void sha1_save();\nextern void sha1_resume();\n\
+                     int main() {{\n\
+                         if (mode == 0) sha1_run();\n\
+                         if (mode == 1) sha1_save();\n\
+                         if (mode == 2) sha1_resume();\n\
+                         return 0;\n\
+                     }}\n"
                 ),
                 dcc::Options::firmware(),
                 &[],
@@ -566,9 +641,21 @@ impl Sha1Rig {
         Ok(Sha1Rig { build })
     }
 
-    /// Hashes `msg` on `engine`: returns the digest the guest wrote to
-    /// `dig` and the cycles of the whole run (`main`'s call and return
-    /// included).
+    /// A fresh machine running this rig on `engine`.
+    #[must_use]
+    pub fn machine(&self, engine: Engine) -> Sha1Machine<'_> {
+        let (cpu, mem) = self.build.machine();
+        Sha1Machine {
+            rig: self,
+            engine,
+            cpu,
+            mem,
+        }
+    }
+
+    /// Hashes `msg` on a fresh machine on `engine`: returns the digest
+    /// the guest wrote to `dig` and the cycles of the whole run (`main`'s
+    /// call and return included).
     ///
     /// # Errors
     ///
@@ -578,18 +665,110 @@ impl Sha1Rig {
     ///
     /// Panics when `msg` is longer than `SHA1_HBUF_LEN - 9` bytes.
     pub fn hash(&self, engine: Engine, msg: &[u8]) -> Result<([u8; 20], u64), AesRabbitError> {
+        self.machine(engine).hash(msg)
+    }
+}
+
+/// One guest machine of a [`Sha1Rig`], kept across calls: each call
+/// reruns `main` over the same memory, so the midstates one call saves
+/// are there for the next. The midstate calls need a
+/// [`Sha1Implementation::LinkedAsm`] rig.
+pub struct Sha1Machine<'r> {
+    rig: &'r Sha1Rig,
+    engine: Engine,
+    cpu: rabbit::Cpu,
+    mem: rabbit::Memory,
+}
+
+impl Sha1Machine<'_> {
+    /// Reruns `main` with `mode` (ignored by the compiled C) and returns
+    /// the run's cycles.
+    fn call(&mut self, mode: u16) -> Result<u64, AesRabbitError> {
+        let b = &self.rig.build;
+        b.write_bytes(&mut self.mem, "_mode", &mode.to_le_bytes());
+        let start = self.cpu.cycles;
+        self.cpu.halted = false;
+        self.cpu.regs.pc = dcc::layout::CODE_ORG;
+        b.run_prepared_on(self.engine, &mut self.cpu, &mut self.mem, SHA1_MAX_CYCLES)
+            .map_err(|e| AesRabbitError::Run(e.to_string()))?;
+        Ok(self.cpu.cycles - start)
+    }
+
+    fn put_message(&mut self, msg: &[u8]) {
         assert!(
             msg.len() + 9 <= SHA1_HBUF_LEN,
             "message fits hbuf with padding"
         );
-        let b = &self.build;
-        let (mut cpu, mut mem) = b.machine();
-        b.write_bytes(&mut mem, "_hbuf", msg);
-        b.write_bytes(&mut mem, "_hlen", &(msg.len() as u16).to_le_bytes());
-        b.run_prepared_on(engine, &mut cpu, &mut mem, SHA1_MAX_CYCLES)
-            .map_err(|e| AesRabbitError::Run(e.to_string()))?;
+        let b = &self.rig.build;
+        b.write_bytes(&mut self.mem, "_hbuf", msg);
+        b.write_bytes(&mut self.mem, "_hlen", &(msg.len() as u16).to_le_bytes());
+    }
+
+    fn digest(&self) -> [u8; 20] {
         let mut dig = [0u8; 20];
-        dig.copy_from_slice(&b.read_bytes(&mem, "_dig", 20));
-        Ok((dig, cpu.cycles))
+        dig.copy_from_slice(&self.rig.build.read_bytes(&self.mem, "_dig", 20));
+        dig
+    }
+
+    fn put_slot(&mut self, slot: usize) {
+        assert!(slot < SHA1_MIDSTATE_SLOTS, "slot {slot} out of range");
+        let b = &self.rig.build;
+        b.write_bytes(&mut self.mem, "_hslot", &(slot as u16).to_le_bytes());
+    }
+
+    /// `sha1_run()` over `msg`: the digest and the run's cycles.
+    ///
+    /// # Errors
+    ///
+    /// [`AesRabbitError::Run`] on a fault or a run that does not halt.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `msg` is longer than `SHA1_HBUF_LEN - 9` bytes.
+    pub fn hash(&mut self, msg: &[u8]) -> Result<([u8; 20], u64), AesRabbitError> {
+        self.put_message(msg);
+        let cycles = self.call(0)?;
+        Ok((self.digest(), cycles))
+    }
+
+    /// `sha1_save()` of `block` into `slot`: the run's cycles.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sha1Machine::hash`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is not below [`SHA1_MIDSTATE_SLOTS`].
+    pub fn save(&mut self, slot: usize, block: &[u8; 64]) -> Result<u64, AesRabbitError> {
+        self.put_slot(slot);
+        self.put_message(block);
+        self.call(1)
+    }
+
+    /// `sha1_resume()` from `slot` over `msg`: the digest of the slot's
+    /// block followed by `msg`, and the run's cycles.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sha1Machine::hash`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Sha1Machine::hash`] and [`Sha1Machine::save`].
+    pub fn resume(&mut self, slot: usize, msg: &[u8]) -> Result<([u8; 20], u64), AesRabbitError> {
+        self.put_slot(slot);
+        self.put_message(msg);
+        let cycles = self.call(2)?;
+        Ok((self.digest(), cycles))
+    }
+
+    /// The module's whole midstate table, [`SHA1_MIDSTATE_SLOTS`] × 20
+    /// bytes.
+    #[must_use]
+    pub fn midstates(&self) -> Vec<u8> {
+        self.rig
+            .build
+            .read_bytes(&self.mem, "sha1_mid", SHA1_MIDSTATE_SLOTS * 20)
     }
 }

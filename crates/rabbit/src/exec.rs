@@ -159,7 +159,16 @@ struct Block {
     /// Distinct 256-byte physical pages the decoded bytes came from;
     /// a store to any of them invalidates the block.
     pages: Vec<u16>,
+    /// Most cycles one replay can take: the body's fixed costs plus
+    /// [`MAX_INSN_CYCLES`] for the terminator.
+    worst_cycles: u64,
 }
+
+/// Upper bound on the cycles of any one instruction.
+const MAX_INSN_CYCLES: u64 = 24;
+
+/// Upper bound on any block's `worst_cycles`.
+const MAX_BLOCK_CYCLES: u64 = (BLOCK_CAP as u64 + 1) * MAX_INSN_CYCLES;
 
 enum Dec {
     Body(Op, u8),
@@ -222,11 +231,13 @@ fn decode_block(map: &SegMap, mem: &Memory, start_pc: u16) -> Block {
             }
         }
     }
+    let worst_cycles = body.iter().map(|d| u64::from(d.cycles)).sum::<u64>() + MAX_INSN_CYCLES;
     Block {
         body,
         term,
         end_pc: pc,
         pages,
+        worst_cycles,
     }
 }
 
@@ -682,19 +693,8 @@ impl Cpu {
         io: &mut I,
         max_cycles: u64,
     ) -> Result<u64, Fault> {
-        // A block is only dispatched when the remaining budget covers its
-        // worst case, so the budget can never be crossed mid-block; the
-        // tail of the budget is single-stepped, which makes `run_fast`
-        // stop at exactly the same instruction boundary (and therefore
-        // the same cycle total) as the interpreter's `run`.
-        const MAX_BLOCK_CYCLES: u64 = (BLOCK_CAP as u64 + 1) * 24;
         let start = self.cycles;
         while !self.halted && self.cycles - start < max_cycles {
-            if max_cycles - (self.cycles - start) < MAX_BLOCK_CYCLES {
-                self.step(mem, io)?;
-                engine.drain_dirty(mem, None);
-                continue;
-            }
             // Interrupt sampling and prefixed instructions go through the
             // interpreter, which replicates `step`'s behaviour exactly.
             if self.io_prefix.is_some() {
@@ -713,20 +713,32 @@ impl Cpu {
             engine.sync_seg(self);
             let block_pc = self.regs.pc;
             let key = block_key(self.regs.pc, self);
-            let block = if let Some(b) = engine.blocks.get(&key) {
-                Rc::clone(b)
-            } else {
-                let b = decode_block(&engine.seg, mem, self.regs.pc);
-                if b.body.is_empty() && b.term.is_none() {
-                    // Barrier at the block start: interpret one
-                    // instruction and try again from the next PC.
-                    self.step(mem, io)?;
-                    engine.drain_dirty(mem, None);
-                    continue;
+            // A block is only dispatched when the remaining budget covers
+            // its own worst case, so the budget can never be crossed
+            // mid-block; otherwise the next instruction is single-stepped,
+            // which makes `run_fast` stop at exactly the same instruction
+            // boundary (and therefore the same cycle total) as the
+            // interpreter's `run`. Near the end of a budget only cached
+            // blocks are tried: decoding there would cache a block at
+            // every single-stepped PC.
+            let left = max_cycles - (self.cycles - start);
+            let block = match engine.blocks.get(&key) {
+                Some(b) if b.worst_cycles <= left => Some(Rc::clone(b)),
+                None if left >= MAX_BLOCK_CYCLES => {
+                    let b = decode_block(&engine.seg, mem, self.regs.pc);
+                    // An empty block is a barrier at the block start.
+                    (!b.body.is_empty() || b.term.is_some()).then(|| {
+                        let b = Rc::new(b);
+                        engine.insert(key, &b, mem);
+                        b
+                    })
                 }
-                let b = Rc::new(b);
-                engine.insert(key, &b, mem);
-                b
+                _ => None,
+            };
+            let Some(block) = block else {
+                self.step(mem, io)?;
+                engine.drain_dirty(mem, None);
+                continue;
             };
 
             let map = engine.seg;

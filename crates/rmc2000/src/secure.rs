@@ -13,10 +13,19 @@
 //! logic, assembly for the cipher inner loops.
 //!
 //! The C side hashes through `extern void sha1_run();` over the
-//! `hbuf`/`hlen`/`dig` globals and builds HMAC and the KDF on it. Every wire constant is spliced in from
-//! [`issl::recmap`] — the Dynamic C subset has no preprocessor, so the
-//! shared "header" is generated, not included. A session's connection
-//! handle doubles as its session index.
+//! `hbuf`/`hlen`/`dig` globals and builds HMAC and the KDF on the
+//! module's midstate entries (RFC 2104 §4): `hmac_key(s)` hashes a key's
+//! two pad blocks once into midstate slots `s`/`s + 1` through
+//! `sha1_save`, and every `hmac_run(s)` after it resumes from them
+//! through `sha1_resume`, so a MAC costs its message's blocks and not the
+//! pads'. The slots ([`aes_rabbit::SHA1_MIDSTATE_SLOTS`]): 0/1 the PSK,
+//! built once in `main` before the NIC interrupt is enabled; 2/3 the
+//! session master key; `4 + 4h`/`6 + 4h` the client and server MAC keys
+//! of handle `h`, rebuilt by `kdf_run(h)` whenever the handle starts a
+//! session. Every wire constant is spliced in from [`issl::recmap`] —
+//! the Dynamic C subset has no preprocessor, so the shared "header" is
+//! generated, not included. A session's connection handle doubles as its
+//! session index.
 //!
 //! Everything observable — plaintext transcripts, raw record bytes,
 //! alerts, serial output, cycle counts, telemetry — is byte-identical
@@ -75,24 +84,25 @@ fn put_bytes(dst: &str, start: usize, bytes: &[u8]) -> String {
 }
 
 /// The crypto half of the guest: HMAC-SHA1 and the issl KDF over the
-/// linked assembly `sha1_run`, plus the LCG the server draws nonces and
-/// IVs from. Kept separate from [`record_c`] so the differential tests
+/// linked assembly SHA-1 and its midstate slots, plus the LCG the server
+/// draws nonces and IVs from. Kept separate from [`record_c`] so the differential tests
 /// can drive it under a bare test `main`.
 fn crypto_c() -> String {
     let template = "\
-/* ---- HMAC / KDF over the linked SHA-1 ---- */
+/* ---- HMAC / KDF over the linked SHA-1 and its midstate slots ---- */
 extern void sha1_run();
+extern void sha1_save();
+extern void sha1_resume();
 char hbuf[@HBUF@];
 int hlen;
 char dig[20];
+int hslot;
 char hkey[64];
 int hklen;
 char hmsg[1100];
 int hmlen;
-char idig[20];
 char psk[64];
 int psklen;
-char kmaster[20];
 char kb[80];
 char tbuf[120];
 char thash[60];
@@ -107,45 +117,59 @@ int rnd_byte() {
     return (rnd >> 8) & 255;
 }
 
-void hmac_run() {
+void hmac_key(int s) {
     int i;
     for (i = 0; i < 64; i = i + 1) {
         if (i < hklen) hbuf[i] = hkey[i] ^ 54;
         else hbuf[i] = 54;
     }
-    for (i = 0; i < hmlen; i = i + 1) hbuf[64 + i] = hmsg[i];
-    hlen = 64 + hmlen;
-    sha1_run();
-    for (i = 0; i < 20; i = i + 1) idig[i] = dig[i];
+    hslot = s;
+    sha1_save();
     for (i = 0; i < 64; i = i + 1) {
         if (i < hklen) hbuf[i] = hkey[i] ^ 92;
         else hbuf[i] = 92;
     }
-    for (i = 0; i < 20; i = i + 1) hbuf[64 + i] = idig[i];
-    hlen = 84;
-    sha1_run();
+    hslot = s + 1;
+    sha1_save();
+}
+
+void hmac_run(int s) {
+    int i;
+    for (i = 0; i < hmlen; i = i + 1) hbuf[i] = hmsg[i];
+    hlen = hmlen;
+    hslot = s;
+    sha1_resume();
+    for (i = 0; i < 20; i = i + 1) hbuf[i] = dig[i];
+    hlen = 20;
+    hslot = s + 1;
+    sha1_resume();
+}
+
+void hmac_psk() {
+    int i;
+    for (i = 0; i < psklen; i = i + 1) hkey[i] = psk[i];
+    hklen = psklen;
+    hmac_key(0);
 }
 
 void kdf_run(int h) {
     int i; int r; int tb; int o;
     tb = h * 40;
-    for (i = 0; i < psklen; i = i + 1) hkey[i] = psk[i];
-    hklen = psklen;
 @MASTER@
     for (i = 0; i < @NONCE@; i = i + 1) hmsg[6 + i] = tbuf[(tb + 2) + i];
     for (i = 0; i < @NONCE@; i = i + 1) hmsg[22 + i] = tbuf[(tb + 20) + i];
     hmlen = 38;
-    hmac_run();
-    for (i = 0; i < 20; i = i + 1) kmaster[i] = dig[i];
+    hmac_run(0);
+    for (i = 0; i < 20; i = i + 1) hkey[i] = dig[i];
+    hklen = 20;
+    hmac_key(2);
     for (r = 0; r < 4; r = r + 1) {
-        for (i = 0; i < 20; i = i + 1) hkey[i] = kmaster[i];
-        hklen = 20;
         hmsg[0] = r;
 @KEYEXP@
         for (i = 0; i < @NONCE@; i = i + 1) hmsg[14 + i] = tbuf[(tb + 2) + i];
         for (i = 0; i < @NONCE@; i = i + 1) hmsg[30 + i] = tbuf[(tb + 20) + i];
         hmlen = 46;
-        hmac_run();
+        hmac_run(2);
         o = r * 20;
         for (i = 0; i < 20; i = i + 1) kb[o + i] = dig[i];
     }
@@ -153,8 +177,16 @@ void kdf_run(int h) {
     for (i = 0; i < 16; i = i + 1) ckey[o + i] = kb[i];
     for (i = 0; i < 16; i = i + 1) skey[o + i] = kb[16 + i];
     o = h * 20;
-    for (i = 0; i < 20; i = i + 1) cmac[o + i] = kb[32 + i];
-    for (i = 0; i < 20; i = i + 1) smac[o + i] = kb[52 + i];
+    for (i = 0; i < 20; i = i + 1) {
+        cmac[o + i] = kb[32 + i];
+        hkey[i] = kb[32 + i];
+    }
+    hmac_key((h * 4) + 4);
+    for (i = 0; i < 20; i = i + 1) {
+        smac[o + i] = kb[52 + i];
+        hkey[i] = kb[52 + i];
+    }
+    hmac_key((h * 4) + 6);
 }
 ";
     template
@@ -273,18 +305,15 @@ int do_finished(int h, int blen) {
     base = (h * @REASM@) + @HDR@;
     if (blen != @MACL@) return 0;
     o = h * @MACL@;
-    for (i = 0; i < @MACL@; i = i + 1) hkey[i] = cmac[o + i];
-    hklen = @MACL@;
     for (i = 0; i < @MACL@; i = i + 1) hmsg[i] = thash[o + i];
     hmlen = @MACL@;
-    hmac_run();
+    hmac_run((h * 4) + 4);
     bad = 0;
     for (i = 0; i < @MACL@; i = i + 1) {
         if (dig[i] != rxb[base + i]) bad = 1;
     }
     if (bad) return 0;
-    for (i = 0; i < @MACL@; i = i + 1) hkey[i] = smac[o + i];
-    hmac_run();
+    hmac_run((h * 4) + 6);
     for (i = 0; i < @MACL@; i = i + 1) sb[@HDR@ + i] = dig[i];
     send_rec(h, @FIN@, @MACL@);
     return 1;
@@ -320,10 +349,7 @@ void send_data(int h, int npt) {
     k = 16 + nct;
     for (i = 0; i < k; i = i + 1) hmsg[8 + i] = sb[@HDR@ + i];
     hmlen = k + 8;
-    o = h * @MACL@;
-    for (i = 0; i < @MACL@; i = i + 1) hkey[i] = smac[o + i];
-    hklen = @MACL@;
-    hmac_run();
+    hmac_run((h * 4) + 6);
     k = (@HDR@ + 16) + nct;
     for (i = 0; i < @MACL@; i = i + 1) sb[k + i] = dig[i];
     send_rec(h, @DATA@, (16 + nct) + @MACL@);
@@ -343,10 +369,7 @@ int do_data(int h, int blen) {
     k = blen - @MACL@;
     for (i = 0; i < k; i = i + 1) hmsg[8 + i] = rxb[base + i];
     hmlen = k + 8;
-    o = h * @MACL@;
-    for (i = 0; i < @MACL@; i = i + 1) hkey[i] = cmac[o + i];
-    hklen = @MACL@;
-    hmac_run();
+    hmac_run((h * 4) + 4);
     bad = 0;
     k = (base + blen) - @MACL@;
     for (i = 0; i < @MACL@; i = i + 1) {
@@ -500,6 +523,7 @@ interrupt void ser_isr() {
 int main() {
     rnd = @SEED@;
     serial_init(2);
+    hmac_psk();
     nic_listen(@PORT@);
     nic_ier(1);
     idle();
@@ -566,7 +590,7 @@ pub fn secure_server_c(port: u16) -> String {
 ///
 /// Loop unrolling is forced off whatever `opts` says: unrolled, the
 /// record runtime's fixed-count copy loops grow the compiled C from
-/// 8,169 to 17,341 bytes, past the SHA-1 module origin and the
+/// 7,957 to 17,129 bytes, past the SHA-1 module origin and the
 /// root-data boundary itself, and a build that cannot fit is not an
 /// optimization level.
 ///
@@ -1103,33 +1127,48 @@ mod tests {
 
     /// The crypto half under a bare test `main`, linked with the SHA-1
     /// module as the firmware links it: mode 0 hashes `hbuf[0..hlen]`,
-    /// mode 1 HMACs `hmsg` under `hkey`, mode 2 runs the KDF for session
-    /// 0 from `psk` and `tbuf`.
-    fn crypto_test_source() -> String {
-        format!(
-            "{}\nint mode;\n\
+    /// mode 1 builds slot 0/1's midstates from `hkey` and HMACs `hmsg`
+    /// under them, mode 2 builds the PSK midstates as `main` does, runs
+    /// the KDF for handle `kh`, then HMACs `tmsg` under the handle's
+    /// client MAC slots (digest to `tdig`) and server MAC slots (`dig`).
+    fn crypto_build() -> dcc::Build {
+        let source = format!(
+            "{}\nint mode;\nint kh;\nchar tmsg[64];\nint tmlen;\nchar tdig[20];\n\
              int main() {{\n\
+                 int i;\n\
                  if (mode == 0) sha1_run();\n\
-                 if (mode == 1) hmac_run();\n\
-                 if (mode == 2) kdf_run(0);\n\
+                 if (mode == 1) {{\n\
+                     hmac_key(0);\n\
+                     hmac_run(0);\n\
+                 }}\n\
+                 if (mode == 2) {{\n\
+                     hmac_psk();\n\
+                     kdf_run(kh);\n\
+                     for (i = 0; i < tmlen; i = i + 1) hmsg[i] = tmsg[i];\n\
+                     hmlen = tmlen;\n\
+                     hmac_run((kh * 4) + 4);\n\
+                     for (i = 0; i < 20; i = i + 1) tdig[i] = dig[i];\n\
+                     hmac_run((kh * 4) + 6);\n\
+                 }}\n\
                  return 0;\n\
              }}\n",
             crypto_c()
-        )
-    }
-
-    fn run_crypto(
-        pokes: &[(&str, Vec<u8>)],
-        mode: u16,
-        reads: &[(&str, usize)],
-    ) -> Vec<Vec<u8>> {
-        let build = dcc::build_firmware_linked(
-            &crypto_test_source(),
+        );
+        dcc::build_firmware_linked(
+            &source,
             dcc::Options::firmware(),
             &[],
             &[&aes_rabbit::sha1_linked_module()],
         )
-        .expect("crypto C compiles and links");
+        .expect("crypto C compiles and links")
+    }
+
+    fn run_crypto(
+        build: &dcc::Build,
+        pokes: &[(&str, Vec<u8>)],
+        mode: u16,
+        reads: &[(&str, usize)],
+    ) -> Vec<Vec<u8>> {
         let (mut cpu, mut mem) = build.machine();
         for (name, bytes) in pokes {
             build.write_bytes(&mut mem, name, bytes);
@@ -1146,11 +1185,13 @@ mod tests {
 
     #[test]
     fn guest_sha1_matches_reference() {
+        let build = crypto_build();
         for (case, len) in [0usize, 1, 55, 56, 64, 129].into_iter().enumerate() {
             let data: Vec<u8> = (0..len)
                 .map(|k| (k as u8).wrapping_mul(31).wrapping_add(case as u8 * 7 + 5))
                 .collect();
             let out = run_crypto(
+                &build,
                 &[
                     ("_hbuf", data.clone()),
                     ("_hlen", (len as u16).to_le_bytes().to_vec()),
@@ -1162,57 +1203,113 @@ mod tests {
         }
     }
 
+    /// `hmac_key` then `hmac_run` against the host HMAC, over key lengths
+    /// on both sides of the pad's 64 bytes and messages on both sides of
+    /// the one-block padding edge, up to the longest data-record MAC
+    /// input (1,088 B).
     #[test]
     fn guest_hmac_matches_reference() {
-        for (klen, mlen) in [(20usize, 13usize), (64, 0), (5, 100), (32, 64)] {
-            let key: Vec<u8> = (0..klen).map(|k| (k as u8).wrapping_mul(17).wrapping_add(3)).collect();
-            let msg: Vec<u8> = (0..mlen).map(|k| (k as u8).wrapping_mul(7).wrapping_add(11)).collect();
-            let out = run_crypto(
-                &[
-                    ("_hkey", key.clone()),
-                    ("_hklen", (klen as u16).to_le_bytes().to_vec()),
-                    ("_hmsg", msg.clone()),
-                    ("_hmlen", (mlen as u16).to_le_bytes().to_vec()),
-                ],
-                1,
-                &[("_dig", 20)],
-            );
-            assert_eq!(
-                out[0],
-                crypto::hmac_sha1(&key, &msg).to_vec(),
-                "klen {klen} mlen {mlen}"
-            );
+        let build = crypto_build();
+        for klen in [0usize, 1, 20, 63, 64] {
+            for mlen in [0usize, 55, 56, 119, 1088] {
+                let key: Vec<u8> = (0..klen)
+                    .map(|k| (k as u8).wrapping_mul(17).wrapping_add(3))
+                    .collect();
+                let msg: Vec<u8> = (0..mlen)
+                    .map(|k| (k as u8).wrapping_mul(7).wrapping_add(11))
+                    .collect();
+                let out = run_crypto(
+                    &build,
+                    &[
+                        ("_hkey", key.clone()),
+                        ("_hklen", (klen as u16).to_le_bytes().to_vec()),
+                        ("_hmsg", msg.clone()),
+                        ("_hmlen", (mlen as u16).to_le_bytes().to_vec()),
+                    ],
+                    1,
+                    &[("_dig", 20)],
+                );
+                assert_eq!(
+                    out[0],
+                    crypto::hmac_sha1(&key, &msg).to_vec(),
+                    "klen {klen} mlen {mlen}"
+                );
+            }
         }
     }
 
+    /// The KDF from the boot-time PSK midstates, for the first and the
+    /// last handle (whose MAC-key slots end the table), and HMACs under
+    /// the MAC-key midstates it leaves behind.
     #[test]
     fn guest_kdf_matches_reference() {
+        let build = crypto_build();
         let psk = b"rmc2000 shared secret";
-        // Transcript slot 0: ClientHello body (18) then ServerHello body (22).
-        let tbuf: Vec<u8> = (0..40u8).map(|k| k.wrapping_mul(13).wrapping_add(1)).collect();
-        let cn = &tbuf[2..18];
-        let sn = &tbuf[20..36];
-        let out = run_crypto(
-            &[
-                ("_psk", psk.to_vec()),
-                ("_psklen", (psk.len() as u16).to_le_bytes().to_vec()),
-                ("_tbuf", tbuf.clone()),
-            ],
-            2,
-            &[("_ckey", 16), ("_skey", 16), ("_cmac", 20), ("_smac", 20)],
-        );
-        let keys = issl::kdf::derive_session_keys(psk, cn, sn, 16);
-        assert_eq!(out[0], keys.client_write_key, "client write key");
-        assert_eq!(out[1], keys.server_write_key, "server write key");
-        assert_eq!(out[2], keys.client_mac_key, "client MAC key");
-        assert_eq!(out[3], keys.server_mac_key, "server MAC key");
+        let tmsg = b"a record under the session's MAC keys".to_vec();
+        for h in [0usize, MAX_CONNS - 1] {
+            // Transcript slot h: ClientHello body (18) then ServerHello
+            // body (22).
+            let slot: Vec<u8> = (0..40u8)
+                .map(|k| k.wrapping_mul(13).wrapping_add(1 + h as u8))
+                .collect();
+            let mut tbuf = vec![0u8; 40 * h];
+            tbuf.extend_from_slice(&slot);
+            let out = run_crypto(
+                &build,
+                &[
+                    ("_psk", psk.to_vec()),
+                    ("_psklen", (psk.len() as u16).to_le_bytes().to_vec()),
+                    ("_tbuf", tbuf),
+                    ("_kh", (h as u16).to_le_bytes().to_vec()),
+                    ("_tmsg", tmsg.clone()),
+                    ("_tmlen", (tmsg.len() as u16).to_le_bytes().to_vec()),
+                ],
+                2,
+                &[
+                    ("_ckey", 48),
+                    ("_skey", 48),
+                    ("_cmac", 60),
+                    ("_smac", 60),
+                    ("_tdig", 20),
+                    ("_dig", 20),
+                ],
+            );
+            let keys = issl::kdf::derive_session_keys(psk, &slot[2..18], &slot[20..36], 16);
+            let (ckey, skey) = (&out[0][16 * h..][..16], &out[1][16 * h..][..16]);
+            let (cmac, smac) = (&out[2][20 * h..][..20], &out[3][20 * h..][..20]);
+            assert_eq!(ckey, keys.client_write_key, "client write key, h {h}");
+            assert_eq!(skey, keys.server_write_key, "server write key, h {h}");
+            assert_eq!(cmac, keys.client_mac_key, "client MAC key, h {h}");
+            assert_eq!(smac, keys.server_mac_key, "server MAC key, h {h}");
+            let slot = 4 + 4 * h;
+            assert_eq!(
+                out[4],
+                crypto::hmac_sha1(cmac, &tmsg).to_vec(),
+                "HMAC under slot {slot}"
+            );
+            let slot = 6 + 4 * h;
+            assert_eq!(
+                out[5],
+                crypto::hmac_sha1(smac, &tmsg).to_vec(),
+                "HMAC under slot {slot}"
+            );
+        }
     }
 
     #[test]
     fn secure_firmware_compiles_and_links_under_both_option_sets() {
         for opts in [dcc::Options::baseline(), dcc::Options::all_optimizations()] {
             let build = build_secure_firmware(opts);
-            for sym in ["_nic_isr", "_ser_isr", "_sha1_run", "_aes_enc", "_aes_dec"] {
+            for sym in [
+                "_nic_isr",
+                "_ser_isr",
+                "_sha1_run",
+                "_sha1_save",
+                "_sha1_resume",
+                "_hmac_psk",
+                "_aes_enc",
+                "_aes_dec",
+            ] {
                 assert!(build.symbol_phys(sym).is_some(), "symbol {sym}");
             }
             assert!(
@@ -1270,10 +1367,9 @@ mod tests {
             .filter(|(_, &a)| range.contains(&usize::from(a)))
             .map(|(name, _)| name)
             .collect();
-        assert!(
-            inside.iter().any(|n| *n == "_sha1_run"),
-            "entry point in range"
-        );
+        for entry in ["_sha1_run", "_sha1_save", "_sha1_resume"] {
+            assert!(inside.iter().any(|n| *n == entry), "{entry} in range");
+        }
         for name in inside {
             assert!(
                 name.contains("sha1"),

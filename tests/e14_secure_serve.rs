@@ -198,3 +198,61 @@ fn profiler_attributes_secure_session_cycles_to_symbols() {
         );
     }
 }
+
+/// Handle reuse rebuilds the MAC-key midstates. Six secure sessions on
+/// the three handles: the first three take one handle each and the rest
+/// wait in the listen backlog, so every handle serves two sessions in
+/// turn, each under its own freshly derived MAC keys. The first session
+/// uses a wrong PSK: it draws the bad-Finished alert, and the session
+/// that takes its handle next is clean. Byte-identical on both engines.
+#[test]
+fn reused_handles_rebuild_their_mac_midstates() {
+    let mut clients = vec![GuestClient::Secure {
+        messages: vec![b"never echoed".to_vec()],
+        psk: b"not the shared secret".to_vec(),
+        tamper: rmc2000::Tamper::None,
+    }];
+    clients.extend((1..6u8).map(|i| GuestClient::secure(&[&[i; 40], &[i ^ 0x5A; 104]], PSK)));
+    let opts = dcc::Options::firmware();
+    let a = secure_serve(Engine::Interpreter, opts, PSK, &clients, None, false);
+    let b = secure_serve(Engine::BlockCache, opts, PSK, &clients, None, false);
+    assert_eq!(a.outcomes, b.outcomes, "client outcomes agree");
+    assert_eq!(a.conns, b.conns, "guest counters agree");
+    assert_eq!(a.cycles, b.cycles, "cycle counts agree");
+    assert_eq!(a.instructions, b.instructions, "instruction counts agree");
+    assert_eq!(a.virtual_us, b.virtual_us, "virtual time agrees");
+    assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
+
+    let c0 = &a.outcomes[0];
+    assert!(!c0.established, "wrong PSK never establishes");
+    assert_eq!(c0.error.as_deref(), Some("PeerAlert"));
+    for (i, o) in a.outcomes.iter().enumerate().skip(1) {
+        assert!(o.established && o.error.is_none(), "client {i}: {o:?}");
+        let i = i as u8;
+        assert_eq!(o.echoed, [vec![i; 40], vec![i ^ 0x5A; 104]].concat());
+    }
+    assert_eq!(a.accepts, 6);
+    assert_eq!(a.alert_kinds, [0, 0, 1], "one bad-Finished alert");
+    for h in 0..3 {
+        assert!(
+            a.snapshot
+                .contains(&format!("board0.net.board.conn.accepts{{conn=\"{h}\"}} 2")),
+            "handle {h} served two sessions\n{}",
+            a.snapshot
+        );
+    }
+    // The wrong-PSK handle's second session completed its handshake and
+    // echoed both records; the other handles ran two clean sessions.
+    let bad = a
+        .conns
+        .iter()
+        .position(|c| c.alerts == 1)
+        .expect("one handle alerted");
+    for (h, c) in a.conns.iter().enumerate() {
+        let clean = if h == bad { 1 } else { 2 };
+        assert_eq!(c.handshakes, clean, "handle {h}: {c:?}");
+        assert_eq!(c.records_in, 2 * clean, "handle {h}: {c:?}");
+        assert_eq!(c.records_out, 2 * clean, "handle {h}: {c:?}");
+        assert_eq!(c.alerts, u16::from(h == bad), "handle {h}: {c:?}");
+    }
+}
